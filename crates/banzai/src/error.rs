@@ -221,6 +221,33 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
+    /// Assembles a report whose books close over `offered` pulled items:
+    /// `transmitted` is what left the switch (salvaged, or already
+    /// streamed to a sink), drops are summed over the salvage, and the
+    /// rest was lost to the fault.
+    pub(crate) fn closed(
+        offered: u64,
+        transmitted: u64,
+        failures: Vec<ShardError>,
+        source: Option<SourceFault>,
+        salvage: Vec<ShardSalvage>,
+        merged: Vec<Packet>,
+    ) -> Box<FaultReport> {
+        let dropped = salvage.iter().map(|s| s.drops.total()).sum();
+        Box::new(FaultReport {
+            failures,
+            source,
+            salvage,
+            merged,
+            accounting: Accounting {
+                offered,
+                transmitted,
+                dropped,
+                lost_in_fault: offered.saturating_sub(transmitted + dropped),
+            },
+        })
+    }
+
     /// The salvage entry for one shard.
     pub fn shard(&self, shard: usize) -> Option<&ShardSalvage> {
         self.salvage.iter().find(|s| s.shard == shard)

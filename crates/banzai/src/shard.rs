@@ -25,11 +25,10 @@
 //!   stateless pipelines, or a **single-shard fallback with a two-tier
 //!   diagnostic** when the state survives neither analysis (`rcp.domino`'s
 //!   global registers) — see [`ShardTier`];
-//! * [`ShardedSwitch`] — spawns one worker thread per shard
-//!   ([`ShardedSwitch::run_trace`]), feeds each through a bounded ring of
-//!   packet batches, runs an independent [`Switch`] per shard (stamped
-//!   with global arrival cycles, so queue metadata is bit-identical to
-//!   the serial switch), and merges transmitted packets by **seeded
+//! * [`ShardedSwitch`] — steers packets to one independent [`Switch`]
+//!   per shard, each run through the serial switch's run core on global
+//!   arrival stamps (so queue metadata is bit-identical to the serial
+//!   switch), and merges transmitted packets by **seeded
 //!   round-robin** — per-flow order is preserved exactly (a flow, as
 //!   defined by the steering key, lives on one shard; under stateless
 //!   whole-packet steering that means identical packets — steer with
@@ -46,15 +45,19 @@
 //!   read sketch state mid-trace trade bit-identity for the sketch's own
 //!   (ε, δ) approximation contract.
 //!
-//! The sequential twins ([`ShardedSwitch::run_trace_partitioned`],
-//! [`ShardedSwitch::run_trace_instrumented`]) run the same plan on the
-//! caller's thread, which is what the E10 harness times: per-shard busy
-//! time measured without scheduler interference gives the critical-path
-//! throughput the shards would sustain on real cores.
+//! Two drivers run the shards. The supervised threaded driver
+//! ([`ShardedRun::collect`], [`ShardedSchedRun::collect`]) spawns one
+//! worker per shard and feeds each through a bounded ring of batches.
+//! The chunked inline driver ([`ShardedRun::for_each`],
+//! [`ShardedRun::partitioned`], [`ShardedRun::instrumented`],
+//! [`ShardedFrameRun::partitioned`]) runs the same plan on the caller's
+//! thread a chunk at a time, which is what the E10 harness times:
+//! per-shard busy time measured without scheduler interference gives the
+//! critical-path throughput the shards would sustain on real cores.
 //!
 //! # Supervision
 //!
-//! The threaded path ([`ShardedSwitch::run_trace`]) is **supervised**: a
+//! The threaded driver is **supervised**: a
 //! worker that panics, stalls past the [`ShardConfig::watchdog_ms`]
 //! watchdog, or dies silently never takes the run down with it. Each
 //! worker wraps every batch in `catch_unwind`; the feeder detects dead
@@ -69,19 +72,18 @@
 //! accounting. Failed shards are rebuilt with fresh engines, so the
 //! switch stays usable after a fault.
 
-use crate::error::{
-    Accounting, FaultCause, FaultReport, ShardError, ShardSalvage, SourceFault, SwitchError,
-};
+use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SourceFault, SwitchError};
 use crate::machine::AtomPipeline;
-use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
+use crate::pifo::{SchedKey, SchedSpec};
 use crate::slot::SlotMachine;
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    DropCounters, DropReason, PipelineEngine, SchedDeparture, Switch, QUEUE_METADATA_FIELDS,
+    Arrival, Arrivals, Drain, DropCounters, DropReason, Frames, Packets, PipelineEngine, Queued,
+    SchedDeparture, Stamped, Switch,
 };
-use crate::wire::{self, WireConfig};
+use crate::wire::{self, WireConfig, WireLayout};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::{mix64, FlowKeySpec, Partitionability, ReplicaSpec, StateLayout};
 use domino_ir::{Packet, StateStore, TacStmt};
@@ -91,20 +93,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// A batch of packets stamped with their global arrival cycles, in flight
-/// to a shard worker.
-type StampedBatch = Vec<(i64, Packet)>;
-
-/// The feeder's handle to one shard's batch ring (`None` once the shard
-/// has been declared dead or stalled and cut off).
-type BatchSender = Option<mpsc::SyncSender<StampedBatch>>;
-
 /// Configuration for a [`ShardedSwitch`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Requested shard (worker) count; the plan may fall back to 1.
     pub shards: usize,
-    /// Packets per steering batch (the unit pushed into a shard's ring).
+    /// Packets per steering batch: the unit pushed into a shard's ring,
+    /// and the chunk the inline terminals steer before running the lanes.
     pub batch: usize,
     /// Ring depth in batches (bounded channel capacity — backpressure).
     pub ring: usize,
@@ -122,7 +117,7 @@ pub struct ShardConfig {
     /// worker stalled and abandoning it.
     pub watchdog_ms: u64,
     /// The scheduling policy every shard's queue runs (default: drop-tail
-    /// FIFO — see [`SchedSpec`] and [`ShardedSwitch::run_sched_trace`]).
+    /// FIFO — see [`SchedSpec`] and [`ShardedRun::scheduled`]).
     pub sched: SchedSpec,
 }
 
@@ -369,7 +364,7 @@ impl ShardPlan {
     /// when both carry keyed state the two keys must agree, and an
     /// egress-derived key must not depend on fields the ingress pipeline
     /// (or the queue's metadata stamps, under their default names —
-    /// [`QUEUE_METADATA_FIELDS`];
+    /// [`QUEUE_METADATA_FIELDS`](crate::switch::QUEUE_METADATA_FIELDS);
     /// renamed metadata is outside this model) rewrites — the dispatcher
     /// evaluates the key on the *input* packet. Any violation produces a
     /// single-shard plan carrying the diagnostic.
@@ -640,15 +635,15 @@ impl fmt::Display for ShardPlan {
 
 /// Wall-clock breakdown of one instrumented sharded run.
 ///
-/// `shard_ns` is measured with the shards executed one after another on
-/// the calling thread, so each number is that shard's *busy* time free of
-/// scheduler interference — on an N-core machine the shards run
+/// `shard_ns` is measured with the shards' lanes executed one after
+/// another on the calling thread, chunk by chunk, so each number is that
+/// shard's *busy* time free of scheduler interference — on an N-core machine the shards run
 /// concurrently and the run completes in [`ShardTimings::critical_ns`]
 /// (dispatcher and workers are pipelined, so the slower of the two lanes
 /// bounds the run).
 #[derive(Debug, Clone)]
 pub struct ShardTimings {
-    /// Time to steer the trace into per-shard batched streams.
+    /// Time to pull the trace and steer it into per-shard lanes.
     pub steer_ns: u128,
     /// Per-shard pipeline busy time.
     pub shard_ns: Vec<u128>,
@@ -678,7 +673,7 @@ impl ShardTimings {
 /// One instrumented sharded run: merged output plus the timing breakdown.
 ///
 /// (For the un-merged per-shard view — the observable differential tests
-/// compare — use [`ShardedSwitch::run_trace_partitioned`]; keeping both
+/// compare — use [`ShardedRun::partitioned`]; keeping both
 /// alive would double the run's memory footprint, which matters at
 /// millions of packets.)
 #[derive(Debug, Clone)]
@@ -697,8 +692,9 @@ pub struct ShardRun {
 ///
 /// No public entry point panics. The threaded run supervises its workers
 /// (even a deliberately panicking [`PipelineEngine`] surfaces as a typed
-/// [`SwitchError::Fault`], never an abort — see the module docs), and the
-/// sequential twins propagate engine errors as `Result`s.
+/// [`SwitchError::Fault`], never an abort — see the module docs); the
+/// inline terminals return typed errors and leave engine panics to the
+/// caller.
 ///
 /// ```
 /// use banzai::{AtomPipeline, ShardConfig, ShardedSwitch};
@@ -735,18 +731,16 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     watchdog_ms: u64,
     /// The scheduling policy every shard runs (and the merge obeys).
     sched: SchedSpec,
-    /// The dedicated serial egress engine of the scheduling path: after a
-    /// PIFO the output link is a single serialized stream, so the
-    /// post-merge egress pass runs here — its state evolves over exactly
-    /// the serial departure sequence, bit-identical to a serial switch's
-    /// egress engine. Built lazily on the first
-    /// [`ShardedSwitch::run_sched_trace`].
-    sched_egress: Option<E>,
+    /// The serial post-merge stage of the scheduling path: after a PIFO
+    /// the output link is a single serialized stream, so the merged
+    /// queue drains here, and its egress engine's state evolves over
+    /// exactly the serial departure sequence. Built lazily on the first
+    /// [`ShardedSchedRun::collect`].
+    sched_tail: Option<Switch<E>>,
     /// Counters salvaged from shards that have since been rebuilt, plus
-    /// feeder-side backpressure sheds and post-merge scheduling
-    /// departures — folded into [`Self::transmitted`] /
-    /// [`Self::drop_counters`] so the totals stay conservation-exact
-    /// across faults.
+    /// feeder-side drops (backpressure sheds) — folded into
+    /// [`Self::transmitted`] / [`Self::drop_counters`] so the totals stay
+    /// conservation-exact across faults.
     extra_transmitted: u64,
     extra_drops: DropCounters,
 }
@@ -823,7 +817,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             backpressure: config.backpressure,
             watchdog_ms: config.watchdog_ms.max(1),
             sched: config.sched,
-            sched_egress: None,
+            sched_tail: None,
             extra_transmitted: 0,
             extra_drops: DropCounters::new(),
         })
@@ -865,32 +859,8 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// Packets transmitted across all shards (outputs salvaged from
     /// since-rebuilt shards included).
     pub fn transmitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.transmitted()).sum::<u64>() + self.extra_transmitted
-    }
-
-    /// Drains the source into per-shard `(global_cycle, packet)` streams.
-    /// Returns the streams, the number of packets pulled, and the
-    /// source's error if it failed rather than ended (the streams then
-    /// hold everything pulled *before* the failure).
-    #[allow(clippy::type_complexity)]
-    fn partition_source<S: PacketSource>(
-        &self,
-        source: &mut S,
-    ) -> (Vec<Vec<(i64, Packet)>>, u64, Option<SourceError>) {
-        let mut streams: Vec<Vec<(i64, Packet)>> = vec![Vec::new(); self.shards.len()];
-        let mut pulled: u64 = 0;
-        let error = loop {
-            match source.next_packet() {
-                Ok(Some(pkt)) => {
-                    let i = pulled as usize;
-                    pulled += 1;
-                    streams[self.plan.steer(i, &pkt)].push((i as i64, pkt));
-                }
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        (streams, pulled, error)
+        let tail = self.sched_tail.as_ref().map_or(0, Switch::transmitted);
+        self.shards.iter().map(|s| s.transmitted()).sum::<u64>() + self.extra_transmitted + tail
     }
 
     /// Merges per-shard output streams by seeded round-robin: starting at
@@ -909,7 +879,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             return parts.into_iter().next().unwrap_or_default();
         }
         let total: usize = parts.iter().map(|p| p.len()).sum();
-        let start = (mix64(self.seed) % n as u64) as usize;
+        let start = self.merge_start(n);
         let mut iters: Vec<std::vec::IntoIter<Packet>> =
             parts.into_iter().map(|p| p.into_iter()).collect();
         let mut out = Vec::with_capacity(total);
@@ -923,51 +893,14 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         out
     }
 
-    /// Runs the trace across all shards on **supervised worker threads**:
-    /// the caller thread steers packets into per-shard bounded batch
-    /// rings, each worker drains its ring through its own switch inside
-    /// `catch_unwind`, and the outputs merge deterministically.
-    ///
-    /// # Failure model
-    ///
-    /// * A **panicking** worker is isolated: its panic is caught, the
-    ///   remaining shards drain cleanly, and the run returns
-    ///   [`SwitchError::Fault`] with a [`FaultReport`] naming the shard,
-    ///   the global index of the packet that triggered the fault, the
-    ///   panic payload, every surviving shard's complete output and state
-    ///   snapshot, the failed shard's completed-batch output prefix, and
-    ///   [`Accounting`] that balances exactly
-    ///   (`offered == transmitted + dropped + lost_in_fault`).
-    /// * A **full ring** degrades per the configured [`Backpressure`]
-    ///   policy: `Block` waits up to [`ShardConfig::watchdog_ms`] then
-    ///   declares the worker stalled; `Shed` drops the batch under the
-    ///   [`DropReason::Backpressure`] counter and keeps going.
-    /// * A **stalled or silently dead** worker is detected by the
-    ///   feeder/collector watchdog and abandoned — this method never
-    ///   hangs on a wedged worker and never joins one.
-    ///
-    /// After a fault, failed shards are **rebuilt** with fresh engines
-    /// (surviving shards keep their state), so the switch remains usable;
-    /// warm-start a rebuilt shard from the salvaged snapshots via
-    /// [`ShardedSwitch::import_state`] if desired. In the practically
-    /// unreachable case that rebuilding itself fails, that `Build` error
-    /// is returned and the switch must be reconstructed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).collect()`"
-    )]
-    pub fn run_trace(&mut self, trace: &[Packet]) -> Result<Vec<Packet>, SwitchError>
-    where
-        E: Send + 'static,
-    {
-        self.run(trace).collect()
+    /// The shard the seeded round-robin merge starts at.
+    fn merge_start(&self, n: usize) -> usize {
+        (mix64(self.seed) % n as u64) as usize
     }
 
     /// Opens a streaming run session: anything convertible to a
     /// [`PacketSource`] drives the sharded switch through the returned
-    /// [`ShardedRun`] builder — the single entry point the old
-    /// `run_trace` / `run_sched_trace` / `run_trace_partitioned` /
-    /// `run_trace_instrumented` family collapsed into.
+    /// [`ShardedRun`] builder, whose terminal picks the driver.
     ///
     /// The supervised terminal ([`ShardedRun::collect`]) pulls from the
     /// source on the dispatcher thread and feeds the bounded batch rings,
@@ -1011,536 +944,440 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
     }
 
-    /// The supervised streaming core behind [`ShardedRun::collect`]: the
-    /// historical threaded `run_trace`, generalized to pull from a
-    /// [`PacketSource`]. A source that errors mid-stream stops the
-    /// feeder; every worker still drains its ring and reports, so the
-    /// returned [`FaultReport`] carries a [`SourceFault`] alongside
-    /// complete per-shard salvage and closed books.
-    fn run_source_threaded<S: PacketSource>(
+    /// Every shard's link must run at line rate for stamped lanes to
+    /// compose (see `Switch::line_rate`).
+    fn line_rate(&self) -> Result<(), SwitchError> {
+        self.shards.iter().try_for_each(Switch::line_rate)
+    }
+
+    /// A fresh shard with pristine engines, through the plain build hook
+    /// (a replacement never inherits a fault schedule).
+    fn rebuild(&self, capacity: usize) -> Result<Switch<E>, SwitchError> {
+        Ok(Switch::from_engines(
+            E::build(&self.ingress_pipeline)?,
+            E::build(&self.egress_pipeline)?,
+            capacity,
+        )
+        .with_scheduler(self.sched.clone()))
+    }
+
+    /// The dispatcher's one step: pulls arrival `i` (stamped with its
+    /// global cycle `i`) and steers it. A packet goes where the plan
+    /// says; a frame the parser rejected has no fields to steer by and
+    /// is dealt to shard `i % n`, so exactly one shard books its drop.
+    fn pull_steered<A: Arrivals>(
+        &self,
+        src: &mut A,
+        i: u64,
+    ) -> Result<Option<(usize, Arrival)>, SourceError> {
+        Ok(src.next_arrival(i as i64)?.map(|arrival| {
+            let shard = match &arrival {
+                Ok((_, pkt, _)) => self.plan.steer(i as usize, pkt),
+                Err(_) => i as usize % self.plan.effective(),
+            };
+            (shard, arrival)
+        }))
+    }
+
+    /// The supervised threaded driver behind [`ShardedRun::collect`] and
+    /// [`ShardedSchedRun::collect`].
+    ///
+    /// One worker per shard runs its switch through the serial run core
+    /// on global arrival stamps, a batch at a time, each batch inside
+    /// `catch_unwind`. The caller's thread pulls and steers arrivals into
+    /// bounded batch rings under the configured [`Backpressure`] policy,
+    /// then collects each worker's outcome, bounded by the watchdog.
+    /// Input memory is O(batch × ring × shards).
+    ///
+    /// Under [`Drain::Periodic`] each shard's outputs come back in
+    /// order. Under [`Drain::Burst`] the workers only admit, and every
+    /// admitted packet stays queued on its shard for the caller to
+    /// merge.
+    ///
+    /// Returns the packets pulled and the per-shard outputs, or a
+    /// [`FaultReport`] if a worker or the source failed (see
+    /// [`ShardedRun::collect`] for the failure model).
+    fn run_supervised<A: Arrivals>(
         &mut self,
-        source: &mut S,
-    ) -> Result<Vec<Packet>, SwitchError>
+        src: &mut A,
+        drain: Drain,
+    ) -> Result<(u64, Vec<Vec<Packet>>), SwitchError>
     where
         E: Send + 'static,
     {
+        if drain == Drain::Periodic {
+            self.line_rate()?;
+        }
         let n = self.shards.len();
-        // Move the switches into their workers; survivors come back
-        // through the outcome channels, failed shards are rebuilt below.
-        let switches = std::mem::take(&mut self.shards);
-        let Scatter {
-            offered,
-            sheds,
-            collected,
-            pulled,
-            source_error,
-        } = self.supervised_scatter(switches, source, worker_loop);
-
-        // Account for dispatcher sheds whether or not anything faulted.
-        for &shed in &sheds {
-            self.extra_drops.bump_by(DropReason::Backpressure, shed);
+        let watchdog = Duration::from_millis(self.watchdog_ms);
+        let mut rings: Vec<Ring> = Vec::with_capacity(n);
+        let mut workers = Vec::with_capacity(n);
+        for sw in std::mem::take(&mut self.shards) {
+            let (tx, rx) = mpsc::sync_channel::<Vec<Queued>>(self.ring);
+            let (done_tx, done_rx) = mpsc::channel();
+            let handle = std::thread::spawn(move || {
+                let _ = done_tx.send(worker_loop(sw, rx, drain));
+            });
+            rings.push(Some(tx));
+            workers.push((done_rx, handle));
         }
 
-        let faulted = source_error.is_some()
-            || collected
+        // Feed. A shard cut off (dead or stalled) keeps accumulating
+        // `offered` for the books but receives nothing further.
+        let mut offered = vec![0u64; n];
+        let mut feeder_drops = vec![DropCounters::new(); n];
+        let mut stalled = vec![false; n];
+        let mut pending: Vec<Vec<Queued>> =
+            (0..n).map(|_| Vec::with_capacity(self.batch)).collect();
+        let mut pulled: u64 = 0;
+        let source_error = loop {
+            let (s, arrival) = match self.pull_steered(src, pulled) {
+                Ok(Some(steered)) => steered,
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            };
+            pulled += 1;
+            offered[s] += 1;
+            match arrival {
+                Err(verdict) => feeder_drops[s].bump(DropReason::Parse(verdict)),
+                Ok(queued) if rings[s].is_some() => {
+                    pending[s].push(queued);
+                    if pending[s].len() >= self.batch {
+                        let batch =
+                            std::mem::replace(&mut pending[s], Vec::with_capacity(self.batch));
+                        self.feed(&mut rings[s], batch, &mut feeder_drops[s], &mut stalled[s]);
+                    }
+                }
+                Ok(_) => {}
+            }
+        };
+        for (s, rest) in pending.into_iter().enumerate() {
+            if !rest.is_empty() {
+                self.feed(&mut rings[s], rest, &mut feeder_drops[s], &mut stalled[s]);
+            }
+        }
+        drop(rings); // close every ring: drained workers exit their loops
+
+        // Collect. A worker that never reports is abandoned (its handle
+        // is dropped, detaching it), never joined, so a wedged engine
+        // cannot hang the caller.
+        let mut collected: Vec<Collected<E>> = Vec::with_capacity(n);
+        for (s, (done_rx, handle)) in workers.into_iter().enumerate() {
+            collected.push(if stalled[s] {
+                Collected::Stalled
+            } else {
+                match done_rx.recv_timeout(watchdog) {
+                    Ok(outcome) => {
+                        let _ = handle.join();
+                        Collected::Reported(outcome)
+                    }
+                    Err(mpsc::RecvTimeoutError::Timeout) => Collected::Stalled,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        let _ = handle.join();
+                        Collected::Vanished
+                    }
+                }
+            });
+        }
+        for drops in &feeder_drops {
+            self.extra_drops.merge(drops);
+        }
+
+        let clean = source_error.is_none()
+            && collected
                 .iter()
-                .any(|c| !matches!(c, Collected::Reported(WorkerOutcome::Done(..))));
-        if !faulted {
-            let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(n);
+                .all(|c| matches!(c, Collected::Reported(WorkerOutcome::Done(..))));
+        if clean {
+            let mut parts = Vec::with_capacity(n);
             for c in collected {
                 if let Collected::Reported(WorkerOutcome::Done(sw, out)) = c {
                     self.shards.push(*sw);
                     parts.push(out);
                 }
             }
-            return Ok(self.merge(parts));
+            return Ok((pulled, parts));
         }
 
-        // At least one worker (or the source itself) faulted: salvage
-        // everything reachable and assemble the report.
+        // A worker or the source faulted: salvage everything reachable,
+        // rebuild the dead shards so the switch stays usable, and close
+        // the books.
         let mut failures: Vec<ShardError> = Vec::new();
         let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(n);
-        let mut parts: Vec<Vec<Packet>> = vec![Vec::new(); n];
-        let mut restored: Vec<Option<Switch<E>>> = (0..n).map(|_| None).collect();
-        for (s, c) in collected.into_iter().enumerate() {
-            let mut shard_drops = DropCounters::new();
-            shard_drops.bump_by(DropReason::Backpressure, sheds[s]);
-            match c {
-                Collected::Reported(WorkerOutcome::Done(sw, out)) => {
-                    shard_drops.merge(sw.drop_counters());
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: false,
-                        offered: offered[s],
-                        output: out.clone(),
-                        drops: shard_drops,
-                        state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-                    });
-                    parts[s] = out;
-                    restored[s] = Some(*sw);
+        for (s, (c, mut drops)) in collected.into_iter().zip(feeder_drops).enumerate() {
+            let (output, state, failure) = match c {
+                Collected::Reported(WorkerOutcome::Done(mut sw, mut out)) => {
+                    drops.merge(sw.drop_counters());
+                    if drain == Drain::Burst {
+                        // Nothing reached egress: the salvage is the
+                        // shard's queue, in the discipline's order.
+                        out = popped(&mut sw);
+                        self.extra_transmitted += out.len() as u64;
+                    }
+                    let state = (sw.export_ingress_state(), sw.export_egress_state());
+                    self.shards.push(*sw);
+                    (out, Some(state), None)
                 }
                 Collected::Reported(WorkerOutcome::Fault {
                     out,
                     packet,
                     cause,
-                    drops,
+                    drops: shard_drops,
                 }) => {
-                    shard_drops.merge(&drops);
-                    failures.push(ShardError {
-                        shard: s,
-                        packet,
-                        cause,
-                    });
+                    drops.merge(&shard_drops);
+                    self.extra_drops.merge(&shard_drops);
                     self.extra_transmitted += out.len() as u64;
-                    self.extra_drops.merge(&drops);
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: out,
-                        drops: shard_drops,
-                        state: None,
-                    });
+                    (out, None, Some((packet, cause)))
                 }
                 Collected::Stalled => {
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause: FaultCause::Stall {
-                            watchdog_ms: self.watchdog_ms,
-                        },
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
+                    let cause = FaultCause::Stall {
+                        watchdog_ms: self.watchdog_ms,
+                    };
+                    (Vec::new(), None, Some((None, cause)))
                 }
-                Collected::Vanished => {
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause: FaultCause::Disconnected,
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
+                Collected::Vanished => (Vec::new(), None, Some((None, FaultCause::Disconnected))),
+            };
+            if let Some((packet, cause)) = failure {
+                failures.push(ShardError {
+                    shard: s,
+                    packet,
+                    cause,
+                });
+                self.shards.push(self.rebuild(self.capacity)?);
             }
-        }
-
-        // Rebuild dead shards with fresh engines so the switch stays
-        // usable (through the plain build hook: no inherited faults).
-        let mut shards = Vec::with_capacity(n);
-        for slot in restored {
-            shards.push(match slot {
-                Some(sw) => sw,
-                None => Switch::from_engines(
-                    E::build(&self.ingress_pipeline)?,
-                    E::build(&self.egress_pipeline)?,
-                    self.capacity,
-                )
-                .with_scheduler(self.sched.clone()),
+            salvage.push(ShardSalvage {
+                shard: s,
+                failed: state.is_none(),
+                offered: offered[s],
+                output,
+                drops,
+                state,
             });
         }
-        self.shards = shards;
-
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: salvage.iter().map(|s| s.output.len() as u64).sum(),
-            dropped: salvage.iter().map(|s| s.drops.total()).sum(),
-            lost_in_fault: salvage.iter().map(ShardSalvage::lost).sum(),
-        };
-        let merged = self.merge(parts);
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures,
-            source: source_error.map(|error| SourceFault { at: pulled, error }),
-            salvage,
-            merged,
-            accounting,
-        })))
-    }
-
-    /// The shared supervision skeleton of the threaded forwarding and
-    /// scheduling cores: spawn one worker per shard, pull packets off the
-    /// [`PacketSource`] one at a time and steer them into bounded batch
-    /// rings under the configured [`Backpressure`] policy, and collect
-    /// each worker's outcome bounded by the watchdog. Generic over the
-    /// worker body and its outcome type, so forwarding runs and
-    /// scheduling runs get the identical failure model.
-    ///
-    /// Input memory is O(batch × shards): at most one pending batch per
-    /// shard on the dispatcher plus `ring` batches in each channel —
-    /// never the whole trace. A source error stops the pull loop; the
-    /// rings are then closed normally, so every live worker drains what
-    /// it was fed and reports, and the error rides back in
-    /// [`Scatter::source_error`].
-    fn supervised_scatter<O, W, S>(
-        &self,
-        switches: Vec<Switch<E>>,
-        source: &mut S,
-        worker: W,
-    ) -> Scatter<O>
-    where
-        E: Send + 'static,
-        O: Send + 'static,
-        S: PacketSource,
-        W: Fn(Switch<E>, mpsc::Receiver<StampedBatch>) -> O + Send + Clone + 'static,
-    {
-        let n = switches.len();
-        let batch_size = self.batch;
-        let watchdog = Duration::from_millis(self.watchdog_ms);
-        let policy = self.backpressure;
-
-        let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
-        let mut dones = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for sw in switches {
-            let (tx, rx) = mpsc::sync_channel::<StampedBatch>(self.ring);
-            let (done_tx, done_rx) = mpsc::channel::<O>();
-            let work = worker.clone();
-            handles.push(std::thread::spawn(move || {
-                let outcome = work(sw, rx);
-                let _ = done_tx.send(outcome);
-            }));
-            txs.push(Some(tx));
-            dones.push(done_rx);
-        }
-
-        // Feed. A shard marked dead/stalled keeps accumulating `offered`
-        // (for the books) but receives nothing further.
-        let mut offered = vec![0u64; n];
-        let mut sheds = vec![0u64; n];
-        let mut stalled = vec![false; n];
-        let mut dead = vec![false; n];
-        let mut pending: Vec<StampedBatch> =
-            (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-        let flush = |s: usize,
-                     batch: StampedBatch,
-                     txs: &mut [BatchSender],
-                     sheds: &mut [u64],
-                     stalled: &mut [bool],
-                     dead: &mut [bool]| {
-            let len = batch.len() as u64;
-            let Some(tx) = txs[s].as_ref() else { return };
-            match feed_batch(tx, batch, policy, watchdog) {
-                FeedResult::Sent => {}
-                FeedResult::Shed => sheds[s] += len,
-                FeedResult::Stalled => {
-                    stalled[s] = true;
-                    txs[s] = None;
+        let transmitted = salvage.iter().map(|s| s.output.len() as u64).sum();
+        let survivors = salvage
+            .iter()
+            .map(|s| {
+                if s.failed {
+                    Vec::new()
+                } else {
+                    s.output.clone()
                 }
-                FeedResult::Dead => {
-                    dead[s] = true;
-                    txs[s] = None;
-                }
-            }
-        };
-        let mut pulled: u64 = 0;
-        let mut source_error: Option<SourceError> = None;
-        loop {
-            let pkt = match source.next_packet() {
-                Ok(Some(pkt)) => pkt,
-                Ok(None) => break,
-                Err(e) => {
-                    source_error = Some(e);
-                    break;
-                }
-            };
-            let i = pulled as usize;
-            pulled += 1;
-            let s = self.plan.steer(i, &pkt);
-            offered[s] += 1;
-            if dead[s] || stalled[s] {
-                continue;
-            }
-            pending[s].push((i as i64, pkt));
-            if pending[s].len() == batch_size {
-                let full = std::mem::replace(&mut pending[s], Vec::with_capacity(batch_size));
-                flush(s, full, &mut txs, &mut sheds, &mut stalled, &mut dead);
-            }
-        }
-        for (s, rest) in pending.into_iter().enumerate() {
-            if !rest.is_empty() && !dead[s] && !stalled[s] {
-                flush(s, rest, &mut txs, &mut sheds, &mut stalled, &mut dead);
-            }
-        }
-        drop(txs); // close every ring: drained workers exit their loops
-
-        // Collect, bounded by the watchdog per shard. A worker that never
-        // reports is abandoned (its thread handle is dropped, detaching
-        // it) — never joined, so a wedged engine cannot hang the caller.
-        let mut collected: Vec<Collected<O>> = Vec::with_capacity(n);
-        for (s, (done_rx, handle)) in dones.into_iter().zip(handles).enumerate() {
-            if stalled[s] {
-                collected.push(Collected::Stalled);
-                drop(handle);
-                continue;
-            }
-            match done_rx.recv_timeout(watchdog) {
-                Ok(outcome) => {
-                    let _ = handle.join();
-                    collected.push(Collected::Reported(outcome));
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    collected.push(Collected::Stalled);
-                    drop(handle);
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = handle.join();
-                    collected.push(Collected::Vanished);
-                }
-            }
-        }
-        Scatter {
-            offered,
-            sheds,
-            collected,
+            })
+            .collect();
+        Err(SwitchError::Fault(FaultReport::closed(
             pulled,
-            source_error,
+            transmitted,
+            failures,
+            source_error.map(|error| SourceFault { at: pulled, error }),
+            salvage,
+            self.merge(survivors),
+        )))
+    }
+
+    /// Pushes one batch into a shard's ring under the overload policy,
+    /// never blocking past the watchdog: a full ring sheds the batch
+    /// (counted under [`DropReason::Backpressure`]) or, once the watchdog
+    /// expires, marks the shard stalled; a hung-up ring (its worker
+    /// exited) is cut off.
+    fn feed(
+        &self,
+        ring: &mut Ring,
+        mut batch: Vec<Queued>,
+        drops: &mut DropCounters,
+        stalled: &mut bool,
+    ) {
+        let Some(tx) = ring.as_ref() else { return };
+        let started = Instant::now();
+        loop {
+            match tx.try_send(batch) {
+                Ok(()) => return,
+                Err(mpsc::TrySendError::Disconnected(_)) => break,
+                Err(mpsc::TrySendError::Full(b)) => match self.backpressure {
+                    Backpressure::Shed => {
+                        drops.bump_by(DropReason::Backpressure, b.len() as u64);
+                        return;
+                    }
+                    Backpressure::Block
+                        if started.elapsed() >= Duration::from_millis(self.watchdog_ms) =>
+                    {
+                        *stalled = true;
+                        break;
+                    }
+                    Backpressure::Block => {
+                        batch = b;
+                        // SyncSender has no send_timeout; a short sleep
+                        // keeps the spin polite while staying far under
+                        // any realistic watchdog granularity.
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                },
+            }
         }
+        *ring = None;
     }
 
-    /// Runs a **scheduling experiment** across all shards on supervised
-    /// worker threads — the sharded twin of
-    /// [`Switch::run_sched_trace`], bit-identical to it on
-    /// [`ShardTier::Exact`] plans.
-    ///
-    /// Each worker ingress-processes its steered packets and pushes them
-    /// into a **shard-local PIFO** under the configured [`SchedSpec`];
-    /// at collect time the per-shard streams (each already in pop order)
-    /// merge by `(class, rank, global arrival cycle)` — exactly the
-    /// serial PIFO's pop order, because the serial tie-break *is* arrival
-    /// order — and a dedicated serial egress engine assigns departure
-    /// cycles with the same recurrence as the serial switch. Admission is
-    /// the serial burst rule applied per worker: during the arrival phase
-    /// the queue only grows, so the serial switch admits exactly the
-    /// first `capacity` arrivals — a globally computable rule, which is
-    /// what keeps sharded `SchedFull` drops bit-identical to serial even
-    /// under overload.
-    ///
-    /// # Failure model
-    ///
-    /// Supervision is identical to [`ShardedSwitch::run_trace`] (same
-    /// feeder, rings, watchdog, and collector). A faulted run returns
-    /// [`SwitchError::Fault`]; the failed shard's salvage is its PIFO
-    /// contents **popped in rank order** (the queue lives outside the
-    /// per-batch `catch_unwind`, so a mid-batch panic cannot corrupt or
-    /// lose it), and [`Accounting`] closes the books exactly.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).scheduled().collect()`"
-    )]
-    pub fn run_sched_trace(&mut self, trace: &[Packet]) -> Result<Vec<SchedDeparture>, SwitchError>
-    where
-        E: Send + 'static,
-    {
-        self.run(trace).scheduled().collect()
-    }
-
-    /// The supervised scheduling core behind [`ShardedSchedRun::collect`],
-    /// generalized to pull from a [`PacketSource`]. A source error lands
-    /// like a worker fault: the feeder stops, every shard-local PIFO
-    /// drains in rank order into salvage, and the report carries a
-    /// [`SourceFault`] with closed books.
-    fn run_sched_source<S: PacketSource>(
+    /// The scheduling terminal behind [`ShardedSchedRun::collect`]: the
+    /// workers admit their packets under the serial burst rule, then
+    /// every shard's queued packets go, in global arrival order, into the
+    /// queue of a serial post-merge stage whose burst drain assigns the
+    /// departures. Its queue pops in exactly the serial switch's order
+    /// (the serial tie-break *is* arrival order), and its egress engine
+    /// sees exactly the serial departure sequence.
+    fn run_scheduled<S: PacketSource>(
         &mut self,
         source: &mut S,
     ) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
     {
-        let n = self.shards.len();
-        let capacity = self.capacity;
-        let switches = std::mem::take(&mut self.shards);
-        let Scatter {
-            offered,
-            sheds,
-            collected,
-            pulled,
-            source_error,
-        } = self.supervised_scatter(switches, source, move |sw, rx| {
-            sched_worker_loop(sw, rx, capacity)
-        });
-
-        for &shed in &sheds {
-            self.extra_drops.bump_by(DropReason::Backpressure, shed);
-        }
-
-        let faulted = source_error.is_some()
-            || collected
-                .iter()
-                .any(|c| !matches!(c, Collected::Reported(SchedOutcome::Done(..))));
-        if !faulted {
-            let mut entries: Vec<(SchedKey, i64, Packet)> = Vec::new();
-            for c in collected {
-                if let Collected::Reported(SchedOutcome::Done(sw, stream)) = c {
-                    self.shards.push(*sw);
-                    entries.extend(stream);
-                }
-            }
-            // Each per-shard stream is sorted by (key, shard-local
-            // arrival); the global arrival cycle is unique, so sorting
-            // the union by (key, arrival) *is* the deterministic k-way
-            // merge — and equals the serial pop order.
-            entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
-
-            // Serial egress pass over the merged departure sequence, on
-            // the dedicated engine (see the field docs).
-            if self.sched_egress.is_none() {
-                self.sched_egress = Some(E::build(&self.egress_pipeline)?);
-            }
-            let egress = self.sched_egress.as_mut().expect("just built");
-            let total = entries.len();
-            let shaping = self.sched.is_shaping();
-            let mut next_free = pulled as i64;
-            let mut out = Vec::with_capacity(total);
-            for (k, (key, arrival, mut pkt)) in entries.into_iter().enumerate() {
-                let departure = if shaping {
-                    next_free.max(key.rank)
-                } else {
-                    next_free
-                };
-                pkt.set(QUEUE_METADATA_FIELDS[0], arrival as i32);
-                pkt.set(QUEUE_METADATA_FIELDS[1], departure as i32);
-                pkt.set(QUEUE_METADATA_FIELDS[2], (total - k - 1) as i32);
-                let egressed = egress.process(pkt);
-                self.extra_transmitted += 1;
-                out.push(SchedDeparture {
-                    arrival,
-                    key,
-                    departure,
-                    pkt: egressed,
-                });
-                next_free = departure + 1;
-            }
-            return Ok(out);
-        }
-
-        // At least one worker faulted: salvage everything reachable and
-        // assemble the report. Nothing reached egress (the run faults
-        // before the merge), so every salvaged stream — survivor and
-        // failed alike — is booked through `extra_transmitted`; no
-        // shard's own transmit counter saw these packets.
-        let mut failures: Vec<ShardError> = Vec::new();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(n);
-        let mut parts: Vec<Vec<Packet>> = vec![Vec::new(); n];
-        let mut restored: Vec<Option<Switch<E>>> = (0..n).map(|_| None).collect();
-        for (s, c) in collected.into_iter().enumerate() {
-            let mut shard_drops = DropCounters::new();
-            shard_drops.bump_by(DropReason::Backpressure, sheds[s]);
-            match c {
-                Collected::Reported(SchedOutcome::Done(sw, stream)) => {
-                    shard_drops.merge(sw.drop_counters());
-                    let out: Vec<Packet> = stream.into_iter().map(|(_, _, p)| p).collect();
-                    self.extra_transmitted += out.len() as u64;
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: false,
-                        offered: offered[s],
-                        output: out.clone(),
-                        drops: shard_drops,
-                        state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-                    });
-                    parts[s] = out;
-                    restored[s] = Some(*sw);
-                }
-                Collected::Reported(SchedOutcome::Fault {
-                    out,
-                    packet,
-                    cause,
-                    drops,
-                }) => {
-                    shard_drops.merge(&drops);
-                    failures.push(ShardError {
-                        shard: s,
-                        packet,
-                        cause,
-                    });
-                    self.extra_transmitted += out.len() as u64;
-                    self.extra_drops.merge(&drops);
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: out,
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-                Collected::Stalled => {
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause: FaultCause::Stall {
-                            watchdog_ms: self.watchdog_ms,
-                        },
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-                Collected::Vanished => {
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause: FaultCause::Disconnected,
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-            }
-        }
-
-        // Rebuild dead shards with fresh engines so the switch stays
-        // usable (through the plain build hook: no inherited faults).
-        let mut shards = Vec::with_capacity(n);
-        for slot in restored {
-            shards.push(match slot {
-                Some(sw) => sw,
-                None => Switch::from_engines(
-                    E::build(&self.ingress_pipeline)?,
-                    E::build(&self.egress_pipeline)?,
-                    self.capacity,
-                )
-                .with_scheduler(self.sched.clone()),
-            });
-        }
-        self.shards = shards;
-
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: salvage.iter().map(|s| s.output.len() as u64).sum(),
-            dropped: salvage.iter().map(|s| s.drops.total()).sum(),
-            lost_in_fault: salvage.iter().map(ShardSalvage::lost).sum(),
+        let (pulled, _) = self.run_supervised(&mut Packets(source), Drain::Burst)?;
+        let mut entries: Vec<(SchedKey, Queued)> = self
+            .shards
+            .iter_mut()
+            .flat_map(Switch::take_queue)
+            .collect();
+        entries.sort_unstable_by_key(|(_, (arrival, _, _))| *arrival);
+        let tail = match self.sched_tail.take() {
+            Some(tail) => tail,
+            // Unbounded: it only re-orders what the shards admitted.
+            None => self.rebuild(usize::MAX)?.with_metadata_of(&self.shards[0]),
         };
-        let merged = self.merge(parts);
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures,
-            source: source_error.map(|error| SourceFault { at: pulled, error }),
+        let tail = self.sched_tail.insert(tail);
+        tail.requeue(entries);
+        let mut out = Vec::with_capacity(tail.queue_depth());
+        tail.drain_burst(pulled, &mut |d, _| out.push(d));
+        Ok(out)
+    }
+
+    /// The chunked inline driver behind [`ShardedRun::for_each`],
+    /// [`ShardedRun::partitioned`], [`ShardedRun::instrumented`] and
+    /// [`ShardedFrameRun::partitioned`], on the caller's thread.
+    ///
+    /// It pulls up to `batch` arrivals and steers them, then runs each
+    /// shard's lane of the chunk through the serial run core on global
+    /// arrival stamps, and buffers the outputs per shard (`lift` shapes
+    /// each departure). `flush` sees the buffers after every chunk, and
+    /// is told when the source has ended. Lanes are timed chunk by
+    /// chunk: interleaving spreads host interference (virtualization
+    /// steal, frequency excursions) evenly over the lanes, so the
+    /// relative lane balance stays honest.
+    ///
+    /// Unsupervised: engine panics propagate as panics.
+    fn run_inline<A: Arrivals, T>(
+        &mut self,
+        src: &mut A,
+        lift: impl Fn(SchedDeparture, Option<Box<WireLayout>>) -> T,
+        timings: &mut ShardTimings,
+        mut flush: impl FnMut(&mut [VecDeque<T>], bool),
+    ) -> Result<Inline<T>, SwitchError> {
+        self.line_rate()?;
+        let n = self.shards.len();
+        let mut run = Inline {
+            pulled: 0,
+            offered: vec![0; n],
+            before: self
+                .shards
+                .iter()
+                .map(|s| s.drop_counters().clone())
+                .collect(),
+            error: None,
+            out: (0..n).map(|_| VecDeque::new()).collect(),
+        };
+        timings.shard_ns = vec![0; n];
+        let mut lanes: Vec<Vec<Queued>> = (0..n).map(|_| Vec::new()).collect();
+        let mut ended = false;
+        while !ended {
+            let t = Instant::now();
+            for _ in 0..self.batch {
+                match self.pull_steered(src, run.pulled) {
+                    Ok(Some((s, arrival))) => {
+                        run.pulled += 1;
+                        run.offered[s] += 1;
+                        match arrival {
+                            Ok(queued) => lanes[s].push(queued),
+                            Err(verdict) => self.shards[s].record_drop(DropReason::Parse(verdict)),
+                        }
+                    }
+                    Ok(None) => ended = true,
+                    Err(e) => {
+                        run.error = Some(e);
+                        ended = true;
+                    }
+                }
+                if ended {
+                    break;
+                }
+            }
+            timings.steer_ns += t.elapsed().as_nanos();
+            for (s, (sw, lane)) in self.shards.iter_mut().zip(&mut lanes).enumerate() {
+                if lane.is_empty() {
+                    continue;
+                }
+                let out = &mut run.out[s];
+                let t = Instant::now();
+                sw.run_core(
+                    &mut Stamped(lane.iter_mut()),
+                    Drain::Periodic,
+                    &mut |d, layout| out.push_back(lift(d, layout)),
+                );
+                timings.shard_ns[s] += t.elapsed().as_nanos();
+                lane.clear();
+            }
+            flush(&mut run.out, ended);
+        }
+        Ok(run)
+    }
+
+    /// Closes an inline run whose source failed: every lane ran what it
+    /// was fed to completion, so the salvage is complete (`outputs`, one
+    /// per shard, empty where they already left through a sink) and
+    /// nothing is lost in the fault.
+    fn inline_fault<T>(
+        &self,
+        run: Inline<T>,
+        error: SourceError,
+        transmitted: u64,
+        outputs: Vec<Vec<Packet>>,
+    ) -> SwitchError {
+        let salvage = self
+            .shards
+            .iter()
+            .zip(outputs.iter().cloned())
+            .enumerate()
+            .map(|(s, (sw, output))| sw.salvage(s, run.offered[s], output, &run.before[s]))
+            .collect();
+        SwitchError::Fault(FaultReport::closed(
+            run.pulled,
+            transmitted,
+            Vec::new(),
+            Some(SourceFault {
+                at: run.pulled,
+                error,
+            }),
             salvage,
-            merged,
-            accounting,
-        })))
+            self.merge(outputs),
+        ))
+    }
+
+    /// The per-shard outputs of an inline packet run (see
+    /// [`ShardedRun::partitioned`]).
+    fn run_parts<S: PacketSource>(
+        &mut self,
+        source: &mut S,
+        timings: &mut ShardTimings,
+    ) -> Result<Vec<Vec<Packet>>, SwitchError> {
+        let mut run = self.run_inline(&mut Packets(source), |d, _| d.pkt, timings, |_, _| {})?;
+        let parts: Vec<Vec<Packet>> = std::mem::take(&mut run.out)
+            .into_iter()
+            .map(Vec::from)
+            .collect();
+        match run.error.take() {
+            None => Ok(parts),
+            Some(error) => {
+                let transmitted = parts.iter().map(|p| p.len() as u64).sum();
+                Err(self.inline_fault(run, error, transmitted, parts))
+            }
+        }
     }
 
     /// The scheduling policy every shard runs.
@@ -1548,387 +1385,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         &self.sched
     }
 
-    /// Snapshot of the dedicated scheduling-path egress engine's state
-    /// (`None` until the first [`ShardedSwitch::run_sched_trace`]).
+    /// Snapshot of the scheduling path's post-merge egress engine
+    /// (`None` until the first [`ShardedSchedRun::collect`]).
     /// Bit-identical to a serial switch's egress state over the same
     /// departures, because the post-merge egress pass *is* serial.
     pub fn export_sched_egress_state(&self) -> Option<StateStore> {
-        self.sched_egress.as_ref().map(PipelineEngine::export_state)
-    }
-
-    /// Runs the trace shard-by-shard on the calling thread and returns
-    /// each shard's output subsequence (un-merged) — the observable the
-    /// differential suites compare against serial execution.
-    ///
-    /// This sequential twin is **unsupervised** (no threads, no rings):
-    /// engine errors propagate as `Result`s, engine panics propagate as
-    /// panics. Supervision lives on [`ShardedRun::collect`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).partitioned()`"
-    )]
-    pub fn run_trace_partitioned(
-        &mut self,
-        trace: &[Packet],
-    ) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        self.run(trace).partitioned()
-    }
-
-    /// The sequential per-shard core behind [`ShardedRun::partitioned`].
-    /// A source error still runs every stream gathered before the
-    /// failure, then reports a [`SourceFault`] with complete per-shard
-    /// salvage (outputs, per-run drop deltas, state snapshots).
-    fn run_source_partitioned<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        let (streams, pulled, source_error) = self.partition_source(source);
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-        let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(self.shards.len());
-        for (sw, stream) in self.shards.iter_mut().zip(&streams) {
-            parts.push(sw.run_stamped_batch(stream)?);
-        }
-        match source_error {
-            None => Ok(parts),
-            Some(error) => {
-                let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
-                Err(self.partitioned_source_fault(pulled, error, &lens, parts, &drops_before))
-            }
-        }
-    }
-
-    /// Assembles the [`SourceFault`] report of an unsupervised
-    /// (partitioned / instrumented) run whose source failed mid-stream:
-    /// every shard ran its pre-failure stream to completion, so salvage
-    /// is complete — outputs, per-run drop deltas, and state snapshots —
-    /// and the books close with `lost_in_fault == 0`.
-    fn partitioned_source_fault(
-        &mut self,
-        pulled: u64,
-        error: SourceError,
-        stream_lens: &[usize],
-        parts: Vec<Vec<Packet>>,
-        drops_before: &[DropCounters],
-    ) -> SwitchError {
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(parts.len());
-        for (s, (sw, out)) in self.shards.iter().zip(&parts).enumerate() {
-            salvage.push(ShardSalvage {
-                shard: s,
-                failed: false,
-                offered: stream_lens[s] as u64,
-                output: out.clone(),
-                drops: sw.drop_counters().since(&drops_before[s]),
-                state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-            });
-        }
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: salvage.iter().map(|s| s.output.len() as u64).sum(),
-            dropped: salvage.iter().map(|s| s.drops.total()).sum(),
-            lost_in_fault: salvage.iter().map(ShardSalvage::lost).sum(),
-        };
-        let merged = self.merge(parts);
-        SwitchError::Fault(Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: pulled, error }),
-            salvage,
-            merged,
-            accounting,
-        }))
-    }
-
-    /// The single-threaded streaming core behind [`ShardedRun::for_each`]:
-    /// pull one packet, run it through its steered shard, buffer the
-    /// shard's output, and emit buffered packets to the sink in exactly
-    /// the seeded round-robin order [`ShardedSwitch::merge`] produces —
-    /// one packet per cursor visit, waiting on a shard whose next output
-    /// has not materialized yet and skipping it only once the stream has
-    /// ended (when an empty buffer is provably final). Output is
-    /// bit-identical to [`ShardedRun::collect`].
-    ///
-    /// Memory is bounded by the *output skew*: per-shard buffers hold
-    /// only packets the round-robin cursor has not reached, so balanced
-    /// steering keeps them O(1); a pathologically imbalanced trace (every
-    /// packet on one shard) degrades to buffering that shard's output.
-    fn run_source_streamed<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-        sink: &mut dyn FnMut(Packet),
-    ) -> Result<RunStats, SwitchError> {
-        let n = self.shards.len();
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-        let mut offered = vec![0u64; n];
-        let mut buffers: Vec<VecDeque<Packet>> = (0..n).map(|_| VecDeque::new()).collect();
-        let mut cursor = (mix64(self.seed) % n as u64) as usize;
-        let mut pulled: u64 = 0;
-        let mut emitted: u64 = 0;
-        let mut source_error: Option<SourceError> = None;
-        let mut ended = false;
-        while !ended {
-            match source.next_packet() {
-                Ok(Some(pkt)) => {
-                    let i = pulled as usize;
-                    pulled += 1;
-                    let s = self.plan.steer(i, &pkt);
-                    offered[s] += 1;
-                    let out = self.shards[s].run_stamped_batch(&[(i as i64, pkt)])?;
-                    buffers[s].extend(out);
-                }
-                Ok(None) => ended = true,
-                Err(e) => {
-                    source_error = Some(e);
-                    ended = true;
-                }
-            }
-            loop {
-                if let Some(pkt) = buffers[cursor].pop_front() {
-                    emitted += 1;
-                    sink(pkt);
-                    cursor = (cursor + 1) % n;
-                } else if ended {
-                    if buffers.iter().all(VecDeque::is_empty) {
-                        break;
-                    }
-                    cursor = (cursor + 1) % n;
-                } else {
-                    break;
-                }
-            }
-        }
-        let stats = RunStats {
-            offered: pulled,
-            transmitted: emitted,
-        };
-        let Some(error) = source_error else {
-            return Ok(stats);
-        };
-        // Outputs already streamed to the sink, so salvage carries the
-        // books and state snapshots but no packet payloads.
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(n);
-        let mut dropped = 0u64;
-        for (s, sw) in self.shards.iter().enumerate() {
-            let delta = sw.drop_counters().since(&drops_before[s]);
-            dropped += delta.total();
-            salvage.push(ShardSalvage {
-                shard: s,
-                failed: false,
-                offered: offered[s],
-                output: Vec::new(),
-                drops: delta,
-                state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-            });
-        }
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: emitted,
-            dropped,
-            lost_in_fault: pulled.saturating_sub(emitted + dropped),
-        };
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: pulled, error }),
-            salvage,
-            merged: Vec::new(),
-            accounting,
-        })))
-    }
-
-    /// Like [`ShardedRun::partitioned`], but instrumented: times the
-    /// steer, each shard's busy run, and the merge. Used by the E10
-    /// scaling harness (on a single-core host, per-shard busy times are
-    /// the honest scaling observable — see [`ShardTimings`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).instrumented()`"
-    )]
-    pub fn run_trace_instrumented(&mut self, trace: &[Packet]) -> Result<ShardRun, SwitchError> {
-        self.run(trace).instrumented()
-    }
-
-    /// The timed sequential core behind [`ShardedRun::instrumented`].
-    fn run_source_instrumented<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<ShardRun, SwitchError> {
-        let t = Instant::now();
-        let (streams, pulled, source_error) = self.partition_source(source);
-        let steer_ns = t.elapsed().as_nanos();
-        let stream_lens: Vec<usize> = streams.iter().map(Vec::len).collect();
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-
-        // Lane times accumulate over *interleaved slices* rather than one
-        // contiguous run per lane. Host interference (virtualization
-        // steal, frequency excursions) arrives in epochs lasting seconds —
-        // longer than a lane — so contiguous timing charges a whole epoch
-        // to whichever lane it lands on and skews the critical path.
-        // Round-robin slicing spreads any epoch across all lanes evenly,
-        // which is exactly what the model needs: honest *relative* lane
-        // balance. Each slice is a contiguous stamped subsequence, and at
-        // line rate the queue drains per packet, so concatenated slice
-        // outputs equal the one-shot run bit for bit.
-        const LANE_SLICES: usize = 64;
-        let n = self.shards.len();
-        let mut partitioned: Vec<Vec<Packet>> = streams
-            .iter()
-            .map(|s| Vec::with_capacity(s.len()))
-            .collect();
-        let mut shard_ns = vec![0u128; n];
-        for k in 0..LANE_SLICES {
-            for (s, (sw, stream)) in self.shards.iter_mut().zip(&streams).enumerate() {
-                let len = stream.len();
-                let (lo, hi) = (len * k / LANE_SLICES, len * (k + 1) / LANE_SLICES);
-                if lo == hi {
-                    continue;
-                }
-                let t = Instant::now();
-                let out = sw.run_stamped_batch(&stream[lo..hi])?;
-                shard_ns[s] += t.elapsed().as_nanos();
-                partitioned[s].extend(out);
-            }
-        }
-        drop(streams);
-
-        if let Some(error) = source_error {
-            return Err(self.partitioned_source_fault(
-                pulled,
-                error,
-                &stream_lens,
-                partitioned,
-                &drops_before,
-            ));
-        }
-
-        // Time the merge the production path performs: a move, no clones.
-        let t = Instant::now();
-        let merged = self.merge(partitioned);
-        let merge_ns = t.elapsed().as_nanos();
-
-        Ok(ShardRun {
-            merged,
-            timings: ShardTimings {
-                steer_ns,
-                shard_ns,
-                merge_ns,
-            },
-        })
-    }
-
-    /// Steers a **byte-level** trace and runs each shard's frame stream
-    /// on the calling thread ([`Switch::run_wire_trace`]), returning the
-    /// per-shard output frames (un-merged).
-    ///
-    /// The dispatcher runs the same parser the shards run
-    /// ([`wire::parse`]) and steers by the parsed packet and frame
-    /// index, so a frame lands on exactly the shard its packet-born twin
-    /// would (under replica mode both paths deal by index). Malformed
-    /// frames carry no fields to steer by; they are dealt round-robin by
-    /// frame index, so exactly one shard's parser re-rejects each one and
-    /// counts the typed drop — frame conservation holds shard by shard.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run_frames(frames, cfg).partitioned()`"
-    )]
-    pub fn run_wire_trace_partitioned<F: AsRef<[u8]>>(
-        &mut self,
-        frames: &[F],
-        cfg: &WireConfig,
-    ) -> Vec<Vec<Vec<u8>>> {
-        self.run_frames(frames, cfg)
-            .partitioned()
-            .expect("slice-backed sources cannot fail mid-stream")
-    }
-
-    /// The byte-level sequential core behind
-    /// [`ShardedFrameRun::partitioned`]: pull frames, steer each by its
-    /// parsed packet (malformed frames dealt round-robin by index), run
-    /// every shard's stream, and return the per-shard output frames. A
-    /// source error reports a [`SourceFault`] whose salvage carries the
-    /// per-shard books and state snapshots (output frames are bytes, not
-    /// packets, so the salvage `output` vectors stay empty — the typed
-    /// parse-drop counters still close the accounting exactly).
-    fn run_frames_partitioned<S: FrameSource>(
-        &mut self,
-        source: &mut S,
-        cfg: &WireConfig,
-    ) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
-        let shards = self.shards.len();
-        let mut streams: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
-        let mut pulled: u64 = 0;
-        let mut source_error: Option<SourceError> = None;
-        loop {
-            match source.next_frame() {
-                Ok(Some(frame)) => {
-                    let i = pulled as usize;
-                    pulled += 1;
-                    let shard = match wire::parse(frame, cfg) {
-                        Ok(wp) => self.plan.steer(i, &wp.pkt),
-                        Err(_) => i % shards,
-                    };
-                    streams[shard].push(frame.to_vec());
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    source_error = Some(e);
-                    break;
-                }
-            }
-        }
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-        let mut parts: Vec<Vec<Vec<u8>>> = Vec::with_capacity(shards);
-        for (sw, stream) in self.shards.iter_mut().zip(&streams) {
-            parts.push(
-                sw.run_frames(stream, cfg)
-                    .collect()
-                    .expect("slice-backed sources cannot fail mid-stream"),
-            );
-        }
-        let Some(error) = source_error else {
-            return Ok(parts);
-        };
-        let transmitted: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(shards);
-        let mut dropped = 0u64;
-        for (s, sw) in self.shards.iter().enumerate() {
-            let delta = sw.drop_counters().since(&drops_before[s]);
-            dropped += delta.total();
-            salvage.push(ShardSalvage {
-                shard: s,
-                failed: false,
-                offered: streams[s].len() as u64,
-                output: Vec::new(),
-                drops: delta,
-                state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-            });
-        }
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted,
-            dropped,
-            lost_in_fault: pulled.saturating_sub(transmitted + dropped),
-        };
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: pulled, error }),
-            salvage,
-            merged: Vec::new(),
-            accounting,
-        })))
+        self.sched_tail.as_ref().map(Switch::export_egress_state)
     }
 
     /// Each shard's `(ingress, egress)` state snapshot.
@@ -2026,13 +1488,13 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
 /// A pending sharded streaming run, opened by [`ShardedSwitch::run`].
 ///
-/// Terminal methods pick the execution strategy:
+/// Terminal methods pick the driver:
 ///
 /// * [`ShardedRun::collect`] — supervised worker threads, merged output
 ///   (the production path);
-/// * [`ShardedRun::for_each`] — single-threaded, outputs streamed to a
-///   sink in merge order (bounded memory end to end);
-/// * [`ShardedRun::partitioned`] — unsupervised sequential twin, un-merged
+/// * [`ShardedRun::for_each`] — the caller's thread, outputs streamed to
+///   a sink in merge order (bounded memory end to end);
+/// * [`ShardedRun::partitioned`] — the caller's thread, un-merged
 ///   per-shard outputs (the differential observable);
 /// * [`ShardedRun::instrumented`] — the partitioned run with lane timings;
 /// * [`ShardedRun::scheduled`] — switch to the PIFO scheduling experiment.
@@ -2067,7 +1529,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     ///   the global index of the packet that triggered the fault, the
     ///   panic payload, every surviving shard's complete output and state
     ///   snapshot, the failed shard's completed-batch output prefix, and
-    ///   [`Accounting`] that balances exactly
+    ///   [`Accounting`](crate::error::Accounting) that balances exactly
     ///   (`offered == transmitted + dropped + lost_in_fault`).
     /// * A **source error** mid-stream stops the feeder; every worker
     ///   still drains what it was fed, and the report carries the
@@ -2083,35 +1545,86 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     /// After a fault, failed shards are **rebuilt** with fresh engines
     /// (surviving shards keep their state), so the switch remains usable;
     /// warm-start a rebuilt shard from the salvaged snapshots via
-    /// [`ShardedSwitch::import_state`] if desired.
+    /// [`ShardedSwitch::import_state`] if desired. In the practically
+    /// unreachable case that rebuilding itself fails, that `Build` error
+    /// is returned and the switch must be reconstructed.
+    ///
+    /// # Errors
+    ///
+    /// Besides faults, [`SwitchError::Unsupported`] if a shard's egress
+    /// link is oversubscribed (`drain_period != 1`): a standing queue
+    /// couples the shards.
     pub fn collect(mut self) -> Result<Vec<Packet>, SwitchError>
     where
         E: Send + 'static,
     {
-        self.switch.run_source_threaded(&mut self.source)
+        let (_, parts) = self
+            .switch
+            .run_supervised(&mut Packets(&mut self.source), Drain::Periodic)?;
+        Ok(self.switch.merge(parts))
     }
 
     /// Streams every merged output packet to `sink` instead of
-    /// materializing them, single-threaded, in exactly the order
+    /// materializing them, on the caller's thread, in exactly the order
     /// [`ShardedRun::collect`] would return — bit-identical output with
     /// memory bounded by the steering balance rather than the trace
-    /// length. Returns the run's [`RunStats`].
+    /// length: per-shard buffers hold only packets the round-robin cursor
+    /// has not reached, and the cursor waits on a shard with nothing
+    /// buffered until the source ends. Returns the run's [`RunStats`].
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        self.switch.run_source_streamed(&mut self.source, &mut sink)
+        let n = self.switch.shards.len();
+        let mut cursor = self.switch.merge_start(n);
+        let mut emitted: u64 = 0;
+        let mut run = self.switch.run_inline(
+            &mut Packets(&mut self.source),
+            |d, _| d.pkt,
+            &mut untimed(),
+            |buffers, ended| loop {
+                if let Some(pkt) = buffers[cursor].pop_front() {
+                    emitted += 1;
+                    sink(pkt);
+                } else if !ended || buffers.iter().all(VecDeque::is_empty) {
+                    break;
+                }
+                cursor = (cursor + 1) % n;
+            },
+        )?;
+        match run.error.take() {
+            None => Ok(RunStats {
+                offered: run.pulled,
+                transmitted: emitted,
+            }),
+            // The outputs already left through the sink.
+            Some(error) => Err(self
+                .switch
+                .inline_fault(run, error, emitted, vec![Vec::new(); n])),
+        }
     }
 
     /// Runs shard-by-shard on the calling thread and returns each shard's
     /// output subsequence (un-merged) — the observable the differential
     /// suites compare against serial execution. Unsupervised: engine
-    /// errors propagate as `Result`s, engine panics as panics.
+    /// panics propagate as panics.
+    ///
+    /// # Errors
+    ///
+    /// [`SwitchError::Unsupported`] on an oversubscribed egress link;
+    /// [`SwitchError::Fault`] if the source fails mid-stream, with every
+    /// lane's salvage complete.
     pub fn partitioned(mut self) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        self.switch.run_source_partitioned(&mut self.source)
+        self.switch.run_parts(&mut self.source, &mut untimed())
     }
 
     /// Like [`ShardedRun::partitioned`], but timed (steer, per-shard busy
     /// runs, merge) and merged — see [`ShardTimings`].
     pub fn instrumented(mut self) -> Result<ShardRun, SwitchError> {
-        self.switch.run_source_instrumented(&mut self.source)
+        let mut timings = untimed();
+        let parts = self.switch.run_parts(&mut self.source, &mut timings)?;
+        // Time the merge the production path performs: a move, no clones.
+        let t = Instant::now();
+        let merged = self.switch.merge(parts);
+        timings.merge_ns = t.elapsed().as_nanos();
+        Ok(ShardRun { merged, timings })
     }
 }
 
@@ -2128,32 +1641,29 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// `run(..).scheduled().collect()`, bit-identical to it on
     /// [`ShardTier::Exact`] plans.
     ///
-    /// Each worker ingress-processes its steered packets and pushes them
-    /// into a **shard-local PIFO** under the configured [`SchedSpec`];
-    /// at collect time the per-shard streams (each already in pop order)
-    /// merge by `(class, rank, global arrival cycle)` — exactly the
-    /// serial PIFO's pop order, because the serial tie-break *is* arrival
-    /// order — and a dedicated serial egress engine assigns departure
-    /// cycles with the same recurrence as the serial switch. Admission is
-    /// the serial burst rule applied per worker: during the arrival phase
-    /// the queue only grows, so the serial switch admits exactly the
-    /// first `capacity` arrivals — a globally computable rule, which is
-    /// what keeps sharded `SchedFull` drops bit-identical to serial even
-    /// under overload.
+    /// Each worker ingress-processes its steered packets and queues them
+    /// under the configured [`SchedSpec`]. Admission is the serial burst
+    /// rule: during the arrival phase the serial queue only grows, so it
+    /// admits exactly the arrivals with global cycle below `capacity` — a
+    /// globally computable rule, which is what keeps sharded `SchedFull`
+    /// drops bit-identical to serial even under overload. At collect
+    /// time every shard's queued packets enter one serial post-merge
+    /// queue in global arrival order, and its drain assigns departure
+    /// cycles and runs egress exactly as the serial switch does.
     ///
     /// # Failure model
     ///
     /// Supervision is identical to [`ShardedRun::collect`] (same feeder,
     /// rings, watchdog, and collector). A faulted run returns
-    /// [`SwitchError::Fault`]; the failed shard's salvage is its PIFO
+    /// [`SwitchError::Fault`]; the failed shard's salvage is its queue's
     /// contents **popped in rank order** (the queue lives outside the
     /// per-batch `catch_unwind`, so a mid-batch panic cannot corrupt or
-    /// lose it), and [`Accounting`] closes the books exactly.
+    /// lose it), and the accounting closes the books exactly.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
     {
-        self.switch.run_sched_source(&mut self.source)
+        self.switch.run_scheduled(&mut self.source)
     }
 }
 
@@ -2167,32 +1677,91 @@ pub struct ShardedFrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
 }
 
 impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
-    /// Steers the frame stream and runs each shard's slice on the calling
-    /// thread ([`Switch::run_frames`]), returning the per-shard output
-    /// frames (un-merged).
+    /// Parses and steers the frame stream, runs each shard's lane on the
+    /// calling thread, and returns the per-shard output frames
+    /// (un-merged).
     ///
-    /// The dispatcher runs the same parser the shards run
-    /// ([`wire::parse`]) and steers by the parsed packet and frame
-    /// index, so a frame lands on exactly the shard its packet-born twin
-    /// would (under replica mode both paths deal by index). Malformed
-    /// frames carry no fields to steer by; they are dealt round-robin by
-    /// frame index, so exactly one shard's parser re-rejects each one and
-    /// counts the typed drop — frame conservation holds shard by shard.
+    /// The dispatcher parses each frame once and steers by the parsed
+    /// packet and frame index, so a frame lands on exactly the shard its
+    /// packet-born twin would (under replica mode both paths deal by
+    /// index), stamped with its global arrival cycle as on the serial
+    /// switch. Malformed frames carry no fields to steer by; frame `i`
+    /// books its parse drop on shard `i % n`, so frame conservation
+    /// holds shard by shard.
+    ///
+    /// # Errors
+    ///
+    /// [`SwitchError::Unsupported`] on an oversubscribed egress link;
+    /// [`SwitchError::Fault`] if the source fails mid-stream, whose
+    /// salvage carries each shard's egressed packets (before deparse).
     pub fn partitioned(mut self) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
-        self.switch
-            .run_frames_partitioned(&mut self.source, self.cfg)
+        let mut frames = Frames {
+            src: &mut self.source,
+            cfg: self.cfg,
+        };
+        let mut run = self.switch.run_inline(
+            &mut frames,
+            |d, layout| (d.pkt, layout),
+            &mut untimed(),
+            |_, _| {},
+        )?;
+        let lanes = std::mem::take(&mut run.out);
+        if let Some(error) = run.error.take() {
+            let outputs: Vec<Vec<Packet>> = lanes
+                .into_iter()
+                .map(|lane| lane.into_iter().map(|(pkt, _)| pkt).collect())
+                .collect();
+            let transmitted = outputs.iter().map(|o| o.len() as u64).sum();
+            return Err(self.switch.inline_fault(run, error, transmitted, outputs));
+        }
+        Ok(lanes
+            .into_iter()
+            .map(|lane| {
+                // Frame-born packets always carry their layout.
+                lane.into_iter()
+                    .filter_map(|(pkt, layout)| layout.map(|l| wire::deparse(&pkt, &l)))
+                    .collect()
+            })
+            .collect())
     }
 }
 
+/// Lane timings that start at zero.
+fn untimed() -> ShardTimings {
+    ShardTimings {
+        steer_ns: 0,
+        shard_ns: Vec::new(),
+        merge_ns: 0,
+    }
+}
+
+/// What an inline run leaves behind.
+struct Inline<T> {
+    /// Arrivals pulled from the source.
+    pulled: u64,
+    /// Arrivals steered to each shard.
+    offered: Vec<u64>,
+    /// Each shard's drop counters before the run.
+    before: Vec<DropCounters>,
+    /// The source's error, if it failed rather than ended.
+    error: Option<SourceError>,
+    /// Outputs not yet flushed, per shard.
+    out: Vec<VecDeque<T>>,
+}
+
+/// The feeder's handle to one shard's batch ring (`None` once the shard
+/// has been declared dead or stalled and cut off).
+type Ring = Option<mpsc::SyncSender<Vec<Queued>>>;
+
 /// What a shard worker reports back on its outcome channel.
 enum WorkerOutcome<E: PipelineEngine> {
-    /// Ring drained, switch handed back with its complete output stream.
+    /// Ring drained, switch handed back with its complete output stream
+    /// (under [`Drain::Burst`], with its admitted packets still queued).
     Done(Box<Switch<E>>, Vec<Packet>),
     /// The engine faulted mid-batch. The switch is discarded (its state
     /// is suspect after an unwind), but its drop counters — plain
-    /// integers, safe to read — ride along, as does the output prefix of
-    /// every *completed* batch and the global index of the packet whose
-    /// processing faulted.
+    /// integers, safe to read — ride along, as does its salvage and the
+    /// global index of the packet whose processing faulted.
     Fault {
         out: Vec<Packet>,
         packet: Option<u64>,
@@ -2201,43 +1770,54 @@ enum WorkerOutcome<E: PipelineEngine> {
     },
 }
 
-/// One shard worker: drain the ring batch by batch, each batch inside
-/// `catch_unwind` so an engine panic is contained to this shard.
+/// One shard worker: runs each batch from the ring through the serial
+/// run core on the batch's global stamps, inside `catch_unwind` so an
+/// engine panic is contained to this shard.
+///
+/// The queue lives outside the unwind scope, so a panic loses only the
+/// packet in flight. The salvage of a faulted forwarding worker is the
+/// output of its completed batches; that of a faulted scheduling worker
+/// is its queue, popped in the discipline's order.
 fn worker_loop<E: PipelineEngine>(
     mut sw: Switch<E>,
-    rx: mpsc::Receiver<Vec<(i64, Packet)>>,
+    rx: mpsc::Receiver<Vec<Queued>>,
+    drain: Drain,
 ) -> WorkerOutcome<E> {
     let mut out: Vec<Packet> = Vec::new();
-    while let Ok(batch) = rx.recv() {
-        // `transmitted + drops` advances by exactly one per fully handled
-        // packet, so the delta across the failing batch pinpoints the
-        // packet whose processing faulted.
-        let before = sw.transmitted() + sw.drops();
-        match catch_unwind(AssertUnwindSafe(|| sw.run_stamped_batch(&batch))) {
-            Ok(Ok(mut produced)) => out.append(&mut produced),
-            Ok(Err(err)) => {
-                return WorkerOutcome::Fault {
-                    packet: batch.first().map(|(t, _)| *t as u64),
-                    cause: FaultCause::Error(err.to_string()),
-                    drops: sw.drop_counters().clone(),
-                    out,
-                };
+    while let Ok(mut batch) = rx.recv() {
+        let (before, mark) = (sw.handled(), out.len());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            sw.run_core(&mut Stamped(batch.iter_mut()), drain, &mut |d, _| {
+                out.push(d.pkt)
+            });
+        }));
+        if let Err(payload) = run {
+            // `handled` grows by one per arrival, so the delta across the
+            // failing batch pinpoints the packet whose processing faulted.
+            let handled = (sw.handled() - before) as usize;
+            out.truncate(mark);
+            if drain == Drain::Burst {
+                out = popped(&mut sw);
             }
-            Err(payload) => {
-                let handled = (sw.transmitted() + sw.drops() - before) as usize;
-                return WorkerOutcome::Fault {
-                    packet: batch.get(handled).map(|(t, _)| *t as u64),
-                    // `payload.as_ref()`, not `&payload`: the latter
-                    // unsizes the Box itself into `dyn Any` and every
-                    // downcast misses.
-                    cause: FaultCause::Panic(panic_payload_string(payload.as_ref())),
-                    drops: sw.drop_counters().clone(),
-                    out,
-                };
-            }
+            return WorkerOutcome::Fault {
+                packet: batch.get(handled).map(|(t, _, _)| *t as u64),
+                // `payload.as_ref()`, not `&payload`: the latter unsizes
+                // the Box itself into `dyn Any` and every downcast misses.
+                cause: FaultCause::Panic(panic_payload_string(payload.as_ref())),
+                drops: sw.drop_counters().clone(),
+                out,
+            };
         }
     }
     WorkerOutcome::Done(Box::new(sw), out)
+}
+
+/// Pops a shard's queue, keeping the packets.
+fn popped<E: PipelineEngine>(sw: &mut Switch<E>) -> Vec<Packet> {
+    sw.take_queue()
+        .into_iter()
+        .map(|(_, (_, pkt, _))| pkt)
+        .collect()
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -2250,145 +1830,15 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// What the collector observed for one shard (generic over the worker's
-/// outcome type: [`WorkerOutcome`] for forwarding runs, [`SchedOutcome`]
-/// for scheduling runs).
-enum Collected<O> {
+/// What the collector observed for one shard.
+enum Collected<E: PipelineEngine> {
     /// The worker reported an outcome within the watchdog window.
-    Reported(O),
+    Reported(WorkerOutcome<E>),
     /// No outcome within the window — the worker was abandoned.
     Stalled,
     /// The outcome channel disconnected with no report: the thread died
     /// outside the supervised path.
     Vanished,
-}
-
-/// Everything the dispatcher observed during one supervised scatter.
-struct Scatter<O> {
-    /// Packets steered to each shard (fed or not — the books).
-    offered: Vec<u64>,
-    /// Packets shed per shard under [`Backpressure::Shed`].
-    sheds: Vec<u64>,
-    /// Each worker's collected outcome.
-    collected: Vec<Collected<O>>,
-    /// Total packets pulled from the source before it ended or failed.
-    pulled: u64,
-    /// The source's mid-stream error, if it failed rather than ended.
-    source_error: Option<SourceError>,
-}
-
-/// What a scheduling-run worker reports back (see
-/// [`ShardedSwitch::run_sched_trace`]).
-enum SchedOutcome<E: PipelineEngine> {
-    /// Ring drained; the switch comes back with the shard-local PIFO's
-    /// full contents popped in order: `(key, global arrival cycle,
-    /// ingress-processed packet)`.
-    Done(Box<Switch<E>>, Vec<(SchedKey, i64, Packet)>),
-    /// The engine faulted mid-batch. `out` is the shard's PIFO contents
-    /// at the instant of the fault, salvaged in rank order.
-    Fault {
-        out: Vec<Packet>,
-        packet: Option<u64>,
-        cause: FaultCause,
-        drops: DropCounters,
-    },
-}
-
-/// One scheduling-run worker: ingress-process each steered packet,
-/// admit it into the shard-local PIFO (or count the configured full-drop
-/// reason), each batch inside `catch_unwind`. The PIFO itself lives
-/// *outside* the unwind scope: a panicking engine loses at most the
-/// in-flight packet, never the queue — which is what makes rank-ordered
-/// salvage possible.
-fn sched_worker_loop<E: PipelineEngine>(
-    mut sw: Switch<E>,
-    rx: mpsc::Receiver<StampedBatch>,
-    capacity: usize,
-) -> SchedOutcome<E> {
-    let spec = sw.scheduler().clone();
-    let reason = spec.full_drop_reason();
-    // Unbounded: the serial admission rule below bounds total occupancy
-    // across *all* shards at `capacity`, so no per-shard bound applies.
-    let mut pifo: SchedQueue<(i64, Packet)> = spec.build_queue(usize::MAX);
-    while let Ok(batch) = rx.recv() {
-        // `pifo.len() + drops` advances by one per fully handled packet,
-        // so the delta across a failing batch pinpoints the fault.
-        let before = pifo.len() as u64 + sw.drops();
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            for (t, pkt) in &batch {
-                let processed = sw.ingress_process(pkt.clone());
-                // The serial burst admission: during the arrival phase
-                // the queue only grows, so the serial switch admits
-                // exactly the arrivals with global cycle < capacity.
-                if (*t as usize) < capacity {
-                    let key = spec.key_of(&processed);
-                    let _ = pifo.push(key, (*t, processed));
-                } else {
-                    sw.record_drop(reason);
-                }
-            }
-        }));
-        if let Err(payload) = res {
-            let handled = (pifo.len() as u64 + sw.drops() - before) as usize;
-            let mut salvaged = Vec::with_capacity(pifo.len());
-            while let Some((_, (_, pkt))) = pifo.pop() {
-                salvaged.push(pkt);
-            }
-            return SchedOutcome::Fault {
-                packet: batch.get(handled).map(|(t, _)| *t as u64),
-                cause: FaultCause::Panic(panic_payload_string(payload.as_ref())),
-                drops: sw.drop_counters().clone(),
-                out: salvaged,
-            };
-        }
-    }
-    let mut stream = Vec::with_capacity(pifo.len());
-    while let Some((key, (t, pkt))) = pifo.pop() {
-        stream.push((key, t, pkt));
-    }
-    SchedOutcome::Done(Box::new(sw), stream)
-}
-
-/// Outcome of pushing one batch into a shard's ring.
-enum FeedResult {
-    Sent,
-    /// Ring full under [`Backpressure::Shed`]: the batch was dropped.
-    Shed,
-    /// Ring full past the watchdog under [`Backpressure::Block`].
-    Stalled,
-    /// The worker's receiver is gone (the worker exited — it faulted).
-    Dead,
-}
-
-/// Pushes a batch with the configured overload policy. Never blocks past
-/// `watchdog`.
-fn feed_batch(
-    tx: &mpsc::SyncSender<Vec<(i64, Packet)>>,
-    batch: Vec<(i64, Packet)>,
-    policy: Backpressure,
-    watchdog: Duration,
-) -> FeedResult {
-    let mut batch = batch;
-    let start = Instant::now();
-    loop {
-        match tx.try_send(batch) {
-            Ok(()) => return FeedResult::Sent,
-            Err(mpsc::TrySendError::Disconnected(_)) => return FeedResult::Dead,
-            Err(mpsc::TrySendError::Full(b)) => match policy {
-                Backpressure::Shed => return FeedResult::Shed,
-                Backpressure::Block => {
-                    if start.elapsed() >= watchdog {
-                        return FeedResult::Stalled;
-                    }
-                    batch = b;
-                    // SyncSender has no send_timeout; a short sleep keeps
-                    // the spin polite while staying far under any
-                    // realistic watchdog granularity.
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            },
-        }
-    }
 }
 
 #[cfg(test)]

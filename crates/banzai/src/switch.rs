@@ -15,7 +15,7 @@
 //! [`SlotMachine`] fast path — the two are observably identical, which the
 //! differential throughput harness asserts.
 
-use crate::error::{Accounting, FaultReport, ShardSalvage, SourceFault, SwitchError};
+use crate::error::{FaultReport, ShardSalvage, SourceFault, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
 use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
@@ -24,7 +24,6 @@ use crate::stream::{
 };
 use crate::wire::{self, ParseVerdict, WireConfig, WireLayout};
 use domino_ir::{Packet, StateStore};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// An execution engine a [`Switch`] can drive a pipeline with.
@@ -247,9 +246,9 @@ impl DropCounters {
     }
 }
 
-/// One transmitted packet of a scheduling run
-/// ([`Switch::run_sched_trace`]): the packet after egress, plus the
-/// scheduling observables the invariant suites assert on.
+/// One transmitted packet of a scheduling run ([`SchedRun::collect`]):
+/// the packet after egress, plus the scheduling observables the
+/// invariant suites assert on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedDeparture {
     /// The packet's arrival cycle (0-based within the run).
@@ -274,25 +273,23 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 ///
 /// # Panic freedom
 ///
-/// The run entry points ([`Switch::run`], [`Switch::run_frames`], and
-/// the deprecated slice adapters over them) never panic on any input
-/// trace: malformed frames become typed [`DropReason::Parse`] counters,
-/// overfull queues become [`DropReason::QueueFull`] counters, and
-/// unsupported configurations are rejected up front as typed
-/// [`SwitchError`]s. A
-/// panic can only originate inside a custom [`PipelineEngine`] (e.g. a
-/// deliberately faulty one — see [`crate::fault`]); the sharded switch
-/// supervises even those (see [`crate::shard`]).
+/// The run entry points ([`Switch::run`], [`Switch::run_frames`]) never
+/// panic on any input trace: malformed frames become typed
+/// [`DropReason::Parse`] counters, overfull queues become
+/// [`DropReason::QueueFull`] counters, and unsupported configurations are
+/// rejected up front as typed [`SwitchError`]s. A panic can only
+/// originate inside a custom [`PipelineEngine`] (e.g. a deliberately
+/// faulty one — see [`crate::fault`]); the sharded switch supervises even
+/// those (see [`crate::shard`]).
 #[derive(Debug, Clone)]
 pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,
     egress: E,
-    /// `(enqueue_cycle, packet)` queue between the pipelines, running the
-    /// discipline `sched` selected (drop-tail FIFO by default). Byte-born
-    /// packets ([`Switch::run_wire_trace`]) ride a run-local FIFO that
-    /// additionally carries each packet's [`WireLayout`]; both queues
-    /// share `capacity` and the drop accounting.
-    queue: SchedQueue<(i64, Packet)>,
+    /// The queue between the pipelines, running the discipline `sched`
+    /// selected (drop-tail FIFO by default). Every run queues here,
+    /// byte-born packets ([`Switch::run_frames`]) with their
+    /// [`WireLayout`].
+    queue: SchedQueue<Queued>,
     /// The scheduling policy `queue` was built from (see
     /// [`Switch::with_scheduler`]).
     sched: SchedSpec,
@@ -545,457 +542,260 @@ impl<E: PipelineEngine> Switch<E> {
         self.egress.import_state(snapshot);
     }
 
-    /// Runs a batch of `(arrival_cycle, packet)` pairs through the whole
-    /// switch at line rate — the sharded entry point.
+    /// The stamped-clock precondition of sharded execution: the egress
+    /// link must run at line rate.
     ///
-    /// Semantically this is [`Switch::run_trace`] with the packet clock
-    /// supplied by the caller instead of counted locally: a shard of a
-    /// partitioned switch sees only *its* packets, but must stamp the
-    /// `enq_ts`/`now` metadata with the **global** arrival cycle so its
-    /// outputs are bit-identical to the serial switch's. Arrival cycles
-    /// must be strictly increasing.
-    ///
-    /// Only the line-rate configuration is supported: with
-    /// `drain_period == 1` the queue never holds more than one packet, so
-    /// every packet admitted at cycle `t` leaves at `t + 1` with queue
-    /// depth 0 — independent of what other shards carry, which is exactly
-    /// why the per-shard runs compose back into the serial behaviour.
+    /// With `drain_period == 1` every packet admitted at cycle `t` leaves
+    /// at `t + 1` with queue depth 0, independent of what other shards
+    /// carry, which is why per-shard runs stamped with global arrival
+    /// cycles compose back into the serial behaviour.
     ///
     /// # Errors
     ///
-    /// Returns [`SwitchError::Unsupported`] if `drain_period != 1` (an
-    /// oversubscribed egress link couples shards through the shared queue
-    /// and cannot be partitioned). Never panics.
-    #[deprecated(
-        since = "0.2.0",
-        note = "stamped batches are an internal sharding detail; drive the switch \
-                through the unified `Switch::run` builder instead"
-    )]
-    pub fn run_stamped<P: std::borrow::Borrow<Packet>>(
-        &mut self,
-        batch: &[(i64, P)],
-    ) -> Result<Vec<Packet>, SwitchError> {
-        self.run_stamped_batch(batch)
+    /// [`SwitchError::Unsupported`] if `drain_period != 1`: an
+    /// oversubscribed egress link couples shards through the shared
+    /// queue and cannot be partitioned.
+    pub(crate) fn line_rate(&self) -> Result<(), SwitchError> {
+        if self.drain_period == 1 {
+            return Ok(());
+        }
+        Err(SwitchError::Unsupported(format!(
+            "stamped (sharded) execution requires a line-rate egress link \
+             (drain_period 1, got {}); a standing queue couples shards",
+            self.drain_period
+        )))
     }
 
-    /// The stamped-batch core behind the sharded workers (see
-    /// [`Switch::run_stamped`] for the semantics and the line-rate
-    /// restriction).
-    pub(crate) fn run_stamped_batch<P: std::borrow::Borrow<Packet>>(
+    /// The run core behind every serial run and every shard lane.
+    ///
+    /// It pulls arrivals until the source ends or fails. Each packet runs
+    /// ingress and is queued under the configured [`SchedSpec`] (or
+    /// dropped under the policy's full reason); each rejected frame is
+    /// booked under its [`DropReason::Parse`] verdict and still spends
+    /// its arrival cycle. The run varies in two ways:
+    ///
+    /// * **The clock.** An [`Arrivals`] source either stamps each arrival
+    ///   with the run's local counter (serial runs: one arrival per
+    ///   cycle) or carries its own stamp (shard lanes: the global
+    ///   arrival cycle, so queue metadata matches the serial switch).
+    /// * **The drain.** [`Drain::Periodic`] departs one packet on every
+    ///   `drain_period`-th cycle as the clock advances (a shaper holds
+    ///   the head until the cycle its rank names) and empties the queue
+    ///   when the source ends. [`Drain::Burst`] only admits: nothing
+    ///   departs, and admission is the burst rule "arrival cycle below
+    ///   `capacity`", which a shard can apply to global stamps. The
+    ///   caller drains with [`Switch::drain_burst`] once every arrival
+    ///   is in.
+    ///
+    /// Returns what was pulled and transmitted, and the source's error if
+    /// it failed rather than ended. Everything admitted before a failure
+    /// still departs, so the books close with nothing lost.
+    pub(crate) fn run_core<A: Arrivals>(
         &mut self,
-        batch: &[(i64, P)],
-    ) -> Result<Vec<Packet>, SwitchError> {
-        if self.drain_period != 1 {
-            return Err(SwitchError::Unsupported(format!(
-                "stamped (sharded) execution requires a line-rate egress link \
-                 (drain_period 1, got {}); a standing queue couples shards",
-                self.drain_period
-            )));
-        }
-        let mut out = Vec::with_capacity(batch.len());
-        let mut last_t: Option<i64> = None;
-        for (t, pkt) in batch {
-            debug_assert!(
-                last_t.is_none_or(|prev| *t > prev),
-                "stamped arrival cycles must be strictly increasing (got {t} after {last_t:?})"
-            );
-            last_t = Some(*t);
-            let processed = self.ingress.process(pkt.borrow().clone());
+        src: &mut A,
+        drain: Drain,
+        emit: &mut dyn FnMut(SchedDeparture, Option<Box<WireLayout>>),
+    ) -> (RunStats, Option<SourceError>) {
+        let start = match drain {
+            Drain::Periodic => self.now,
+            Drain::Burst => 0,
+        };
+        let mut stats = RunStats::default();
+        // The cycle after the latest arrival.
+        let mut next = start;
+        let error = loop {
+            let local = start + stats.offered as i64;
+            let arrival = match src.next_arrival(local) {
+                Ok(Some(arrival)) => arrival,
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            };
+            stats.offered += 1;
+            let (t, pkt, layout) = match arrival {
+                Ok(queued) => queued,
+                Err(verdict) => {
+                    self.drops.bump(DropReason::Parse(verdict));
+                    next = local + 1;
+                    continue;
+                }
+            };
+            next = t + 1;
+            if drain == Drain::Periodic {
+                stats.transmitted += self.drain_until(Some(t), self.drain_period, emit);
+            }
+            let processed = self.ingress.process(pkt);
             let key = self.sched.key_of(&processed);
-            if self.queue.push(key, (*t, processed)).is_err() {
+            let full = drain == Drain::Burst && t >= self.capacity as i64;
+            if full || self.queue.push(key, (t, processed, layout)).is_err() {
                 self.drops.bump(self.sched.full_drop_reason());
-                continue;
             }
-            // At line rate the packet just pushed drains immediately (the
-            // if-let always matches; no unwrap on the hot path). With at
-            // most one occupant any discipline pops it, so stamped runs
-            // stay shard-composable under every [`SchedSpec`].
-            if let Some((_, (enq_ts, mut p))) = self.queue.pop() {
-                p.set(&self.enqueue_ts_field, enq_ts as i32);
-                p.set("now", (*t + 1) as i32);
-                p.set(&self.depth_field, self.queue.len() as i32);
-                out.push(self.egress.process(p));
-                self.transmitted += 1;
-                self.now = *t + 1;
-            }
+        };
+        if drain == Drain::Periodic {
+            // The cycle after the last arrival still drains; then the
+            // link keeps draining until the queue is empty.
+            stats.transmitted += self.drain_until(Some(next), self.drain_period, emit);
+            stats.transmitted += self.drain_until(None, self.drain_period, emit);
         }
-        Ok(out)
+        (stats, error)
     }
 
-    /// Runs a trace through the whole switch: each input packet is
-    /// processed by ingress and enqueued (or dropped if the queue is
-    /// full); the queue drains one packet every `drain_period` cycles
-    /// through egress. Returns transmitted packets in order.
+    /// Departs queued packets on every `period`-th cycle after
+    /// `self.now`, up to and including cycle `limit` (or until the queue
+    /// is empty), then sets the clock to `limit`. A shaper holds the
+    /// head until the cycle its rank names. Returns the departures.
     ///
-    /// One input packet arrives per cycle (the line-rate assumption);
-    /// `enq_ts`/`qdepth` metadata (or the configured names) are stamped at
-    /// enqueue, and `now` is refreshed at dequeue so egress programs can
-    /// compute sojourn times.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).collect()`"
-    )]
-    pub fn run_trace(&mut self, trace: &[Packet]) -> Vec<Packet> {
-        self.run(trace)
-            .collect()
-            .expect("slice-backed sources cannot fail mid-stream")
-    }
-
-    /// The streaming line-rate core: pulls packets from `source` one per
-    /// cycle, drains through egress on the configured period, and hands
-    /// each transmitted packet to `emit` the cycle it departs — memory
-    /// stays O(queue capacity) regardless of trace length. Bit-identical
-    /// to the historical slice loop: admission order, drain gating, and
-    /// metadata stamps are unchanged; only where the next packet comes
-    /// from differs.
-    ///
-    /// On a mid-stream source error the switch stops admitting, drains
-    /// everything already queued (so the books close with
-    /// `lost_in_fault == 0`), and returns a [`FaultReport`] whose
-    /// `merged`/salvage output the caller fills in from its sink.
-    pub(crate) fn run_source_core<S: PacketSource>(
+    /// `limit` never precedes the clock while packets are queued; with
+    /// an empty queue the clock may jump back, which is how a shard
+    /// lane's stamps restart at cycle 0 on every run.
+    fn drain_until(
         &mut self,
-        source: &mut S,
-        emit: &mut dyn FnMut(Packet),
-    ) -> Result<RunStats, Box<FaultReport>> {
-        let drops_before = self.drops.clone();
-        let mut offered: u64 = 0;
-        let mut transmitted: u64 = 0;
-        let mut ended = false;
-        let mut src_err: Option<SourceError> = None;
-        loop {
-            // Dequeue + egress on drain cycles: whatever packet the
-            // configured discipline says departs next (arrival order on
-            // the default FIFO; rank order on a PIFO). A shaper
-            // additionally gates the head until the cycle its rank names.
-            if (self.now as u64).is_multiple_of(self.drain_period) {
-                let gated = self.sched.is_shaping()
-                    && self.queue.peek_key().is_some_and(|k| k.rank > self.now);
-                if !gated {
-                    if let Some((_, (enq_ts, mut pkt))) = self.queue.pop() {
-                        pkt.set(&self.enqueue_ts_field, enq_ts as i32);
-                        pkt.set("now", self.now as i32);
-                        pkt.set(&self.depth_field, self.queue.len() as i32);
-                        emit(self.egress.process(pkt));
-                        self.transmitted += 1;
-                        transmitted += 1;
-                    }
-                }
+        limit: Option<i64>,
+        period: u64,
+        emit: &mut dyn FnMut(SchedDeparture, Option<Box<WireLayout>>),
+    ) -> u64 {
+        let period = period as i64;
+        let mut sent = 0;
+        while let Some(head) = self.queue.peek_key() {
+            let mut cycle = (self.now.div_euclid(period) + 1) * period;
+            if self.sched.is_shaping() && head.rank > cycle {
+                cycle = (head.rank + period - 1) / period * period;
             }
-            // Admit one packet per cycle, until the source ends (or
-            // fails — a failed source is never pulled again).
-            if !ended {
-                match source.next_packet() {
-                    Ok(Some(p)) => {
-                        offered += 1;
-                        let processed = self.ingress.process(p);
-                        let key = self.sched.key_of(&processed);
-                        if self.queue.push(key, (self.now, processed)).is_err() {
-                            self.drops.bump(self.sched.full_drop_reason());
-                        }
-                    }
-                    Ok(None) => ended = true,
-                    Err(e) => {
-                        ended = true;
-                        src_err = Some(e);
-                    }
-                }
-            }
-            if ended && self.queue.is_empty() {
+            if limit.is_some_and(|t| cycle > t) {
                 break;
             }
-            self.now += 1;
-        }
-        match src_err {
-            None => Ok(RunStats {
-                offered,
-                transmitted,
-            }),
-            Some(error) => Err(self.source_fault_report(
-                offered,
-                transmitted,
-                self.drops.since(&drops_before),
-                error,
-            )),
-        }
-    }
-
-    /// Assembles the [`FaultReport`] for a run cut short by its source:
-    /// one salvage entry (this switch is "shard 0" of itself), closed
-    /// books, and the caller's collected output patched in afterwards.
-    fn source_fault_report(
-        &self,
-        offered: u64,
-        transmitted: u64,
-        drops: DropCounters,
-        error: SourceError,
-    ) -> Box<FaultReport> {
-        let dropped = drops.total();
-        Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: offered, error }),
-            salvage: vec![ShardSalvage {
-                shard: 0,
-                failed: false,
-                offered,
-                output: Vec::new(),
-                drops,
-                state: Some((self.ingress.export_state(), self.egress.export_state())),
-            }],
-            merged: Vec::new(),
-            accounting: Accounting {
-                offered,
-                transmitted,
-                dropped,
-                lost_in_fault: offered.saturating_sub(transmitted + dropped),
-            },
-        })
-    }
-
-    /// Runs a **scheduling experiment**: the whole trace arrives as a
-    /// back-to-back burst (one packet per cycle, cycles `0..n`), then the
-    /// queue drains at one packet per cycle from cycle `n` in whatever
-    /// order the configured [`SchedSpec`] dictates. Returns one
-    /// [`SchedDeparture`] per transmitted packet, in departure order.
-    ///
-    /// This is the regime where a scheduler is observable at all: under
-    /// [`Switch::run_trace`]'s line-rate admission the queue never holds
-    /// more than one packet, so every discipline degenerates to FIFO. The
-    /// burst builds a standing queue of up to `capacity` packets
-    /// (arrivals beyond that drop under the policy's reason —
-    /// [`DropReason::SchedFull`] for rank schedulers), and the drain
-    /// exposes the discipline's order. `drain_period` is ignored: the
-    /// drain *is* the one-packet-per-cycle output link.
-    ///
-    /// Under a [`SchedSpec::Shaping`] policy a packet's rank is its
-    /// earliest-departure cycle: the link idles until the head's rank, so
-    /// departure times (not just order) are programmed.
-    ///
-    /// Egress metadata is stamped per departure (`enq_ts` = arrival
-    /// cycle, `now` = departure cycle, `qdepth` = packets still queued),
-    /// so sojourn-aware egress programs (CoDel) observe the scheduler's
-    /// actual queueing delays. The arrival clock is run-local (restarts
-    /// at 0 each call); engine state and the drop/transmit counters
-    /// accumulate across calls as usual.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).scheduled().collect()` \
-                (or `.sched(spec)` to set the discipline in the same chain)"
-    )]
-    pub fn run_sched_trace(&mut self, trace: &[Packet]) -> Vec<SchedDeparture> {
-        self.run(trace)
-            .scheduled()
-            .collect()
-            .expect("slice-backed sources cannot fail mid-stream")
-    }
-
-    /// The scheduling-experiment core behind
-    /// [`SchedRun`](crate::switch::SchedRun): burst arrival from a
-    /// source, then a rank-ordered drain (see [`Switch::run_sched_trace`]
-    /// for the regime's semantics). A mid-stream source error ends the
-    /// arrival phase early; the drain still runs, so everything admitted
-    /// departs and the books close.
-    pub(crate) fn run_sched_source_core<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Vec<SchedDeparture>, Box<FaultReport>> {
-        let drops_before = self.drops.clone();
-        let mut src_err: Option<SourceError> = None;
-        // Arrival phase: ingress + admission, one packet per cycle. No
-        // pops happen here, so occupancy is monotone and admission is
-        // by-occupancy exactly as in the line-rate core.
-        let mut arrivals: i64 = 0;
-        loop {
-            match source.next_packet() {
-                Ok(Some(p)) => {
-                    let processed = self.ingress.process(p);
-                    let key = self.sched.key_of(&processed);
-                    if self.queue.push(key, (arrivals, processed)).is_err() {
-                        self.drops.bump(self.sched.full_drop_reason());
-                    }
-                    arrivals += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    src_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Drain phase: one departure per cycle, rank-gated under shaping.
-        let mut next_free = arrivals;
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some(head) = self.queue.peek_key() {
-            let departure = if self.sched.is_shaping() {
-                next_free.max(head.rank)
-            } else {
-                next_free
+            let Some((key, queued)) = self.queue.pop() else {
+                break;
             };
-            let (key, (arrival, mut pkt)) = self
-                .queue
-                .pop()
-                .expect("peek_key said the queue is non-empty");
-            pkt.set(&self.enqueue_ts_field, arrival as i32);
-            pkt.set("now", departure as i32);
-            pkt.set(&self.depth_field, self.queue.len() as i32);
-            let egressed = self.egress.process(pkt);
-            self.transmitted += 1;
-            out.push(SchedDeparture {
-                arrival,
-                key,
-                departure,
-                pkt: egressed,
-            });
-            next_free = departure + 1;
+            self.now = cycle;
+            self.depart(key, queued, emit);
+            sent += 1;
         }
-        self.now = next_free;
-        match src_err {
-            None => Ok(out),
-            Some(error) => {
-                let mut report = self.source_fault_report(
-                    arrivals as u64,
-                    out.len() as u64,
-                    self.drops.since(&drops_before),
-                    error,
-                );
-                report.merged = out.iter().map(|d| d.pkt.clone()).collect();
-                report.salvage[0].output = report.merged.clone();
-                Err(report)
+        if let Some(t) = limit {
+            self.now = t;
+        }
+        sent
+    }
+
+    /// The burst regime's drain, after `arrivals` packets arrived on
+    /// cycles `0..arrivals`: one departure per cycle from cycle
+    /// `arrivals` in the discipline's order (`drain_period` is ignored),
+    /// a shaper idling the link until the head's rank. Returns the
+    /// departures.
+    pub(crate) fn drain_burst(
+        &mut self,
+        arrivals: u64,
+        emit: &mut dyn FnMut(SchedDeparture, Option<Box<WireLayout>>),
+    ) -> u64 {
+        self.now = arrivals as i64 - 1;
+        let sent = self.drain_until(None, 1, emit);
+        self.now += 1;
+        sent
+    }
+
+    /// Stamps the queue metadata on a departing packet (`enq_ts` = its
+    /// arrival cycle, `now` = the departure cycle, `qdepth` = packets
+    /// still queued, under the configured names), runs egress, and hands
+    /// the result on.
+    fn depart(
+        &mut self,
+        key: SchedKey,
+        (arrival, mut pkt, layout): Queued,
+        emit: &mut dyn FnMut(SchedDeparture, Option<Box<WireLayout>>),
+    ) {
+        pkt.set(&self.enqueue_ts_field, arrival as i32);
+        pkt.set("now", self.now as i32);
+        pkt.set(&self.depth_field, self.queue.len() as i32);
+        let pkt = self.egress.process(pkt);
+        self.transmitted += 1;
+        let departure = SchedDeparture {
+            arrival,
+            key,
+            departure: self.now,
+            pkt,
+        };
+        emit(departure, layout);
+    }
+
+    /// Packets handled so far: transmitted, dropped, or queued. It grows
+    /// by one per arrival and is unchanged by a departure, so across a
+    /// batch that unwound it counts the arrivals handled before the
+    /// fault.
+    pub(crate) fn handled(&self) -> u64 {
+        self.transmitted + self.drops.total() + self.queue.len() as u64
+    }
+
+    /// Pops every queued entry, in the discipline's order.
+    pub(crate) fn take_queue(&mut self) -> Vec<(SchedKey, Queued)> {
+        std::iter::from_fn(|| self.queue.pop()).collect()
+    }
+
+    /// Queues already-ingressed entries, in the order given.
+    pub(crate) fn requeue(&mut self, entries: Vec<(SchedKey, Queued)>) {
+        for (key, queued) in entries {
+            if self.queue.push(key, queued).is_err() {
+                self.drops.bump(self.sched.full_drop_reason());
             }
         }
     }
 
-    /// Runs one packet through the ingress pipeline alone — the sharded
-    /// scheduling path's per-worker step (rank computation happens at
-    /// ingress; the PIFO and the egress pass live outside the worker).
-    pub(crate) fn ingress_process(&mut self, pkt: Packet) -> Packet {
-        self.ingress.process(pkt)
+    /// Copies another switch's metadata field names.
+    pub(crate) fn with_metadata_of(self, other: &Switch<E>) -> Switch<E> {
+        self.with_metadata_fields(&other.enqueue_ts_field, &other.depth_field)
     }
 
-    /// Bumps a drop counter directly (sharded scheduling admission).
+    /// Bumps a drop counter directly (a frame the sharded dispatcher
+    /// rejected for this shard).
     pub(crate) fn record_drop(&mut self, reason: DropReason) {
         self.drops.bump(reason);
     }
 
-    /// Runs a trace of **raw byte frames** through the whole switch:
-    /// parse → ingress → queue → egress → deparse, returning the
-    /// transmitted frames as bytes.
-    ///
-    /// This is [`Switch::run_trace`] with the wire front-end
-    /// ([`crate::wire`]) bolted onto both ends. Each arrival cycle admits
-    /// one frame; a frame that fails to parse is dropped on its arrival
-    /// cycle under the matching [`DropReason::Parse`] counter (malformed
-    /// traffic still consumes arrival slots, as on a real wire — it just
-    /// never reaches ingress). Accepted frames carry their
-    /// [`WireLayout`] through the queue, so egress re-serializes every
-    /// pipeline-modified field back into its wire position and all
-    /// unparsed bytes (options, payloads) survive verbatim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run_frames(frames, &cfg).collect()`"
-    )]
-    pub fn run_wire_trace<F: AsRef<[u8]>>(
-        &mut self,
-        frames: &[F],
-        cfg: &WireConfig,
-    ) -> Vec<Vec<u8>> {
-        self.run_frames(frames, cfg)
-            .collect()
-            .expect("slice-backed sources cannot fail mid-stream")
+    /// This switch's salvage after a run cut short by its source: the
+    /// run's drops since `before`, its output, and a state snapshot.
+    pub(crate) fn salvage(
+        &self,
+        shard: usize,
+        offered: u64,
+        output: Vec<Packet>,
+        before: &DropCounters,
+    ) -> ShardSalvage {
+        ShardSalvage {
+            shard,
+            failed: false,
+            offered,
+            output,
+            drops: self.drops.since(before),
+            state: Some((self.ingress.export_state(), self.egress.export_state())),
+        }
     }
 
-    /// The streaming byte-frame core behind
-    /// [`FrameRun`](crate::switch::FrameRun): pull a frame per cycle from
-    /// the source, parse → ingress → queue → egress → deparse, hand each
-    /// transmitted frame to `emit`. Malformed frames become
-    /// [`DropReason::Parse`] counters on their arrival cycle exactly as
-    /// in the slice path; a mid-stream source error (e.g. a capture file
-    /// torn mid-record) stops admission, drains the queue, and closes
-    /// the books in a [`FaultReport`].
-    pub(crate) fn run_wire_source_core<S: FrameSource>(
-        &mut self,
-        source: &mut S,
-        cfg: &WireConfig,
-        emit: &mut dyn FnMut(Vec<u8>),
-    ) -> Result<RunStats, Box<FaultReport>> {
-        // Byte-born packets carry their wire layout alongside the FIFO
-        // entry so egress can deparse; the queue is run-local (the shared
-        // map-packet FIFO is always drained between runs) but shares
-        // `capacity` and the drop/transmit accounting.
-        let drops_before = self.drops.clone();
-        let mut queue: VecDeque<(i64, Packet, WireLayout)> = VecDeque::new();
-        let mut offered: u64 = 0;
-        let mut transmitted: u64 = 0;
-        let mut ended = false;
-        let mut src_err: Option<SourceError> = None;
-        loop {
-            if (self.now as u64).is_multiple_of(self.drain_period) {
-                if let Some((enq_ts, mut pkt, layout)) = queue.pop_front() {
-                    pkt.set(&self.enqueue_ts_field, enq_ts as i32);
-                    pkt.set("now", self.now as i32);
-                    pkt.set(&self.depth_field, queue.len() as i32);
-                    let egressed = self.egress.process(pkt);
-                    emit(wire::deparse(&egressed, &layout));
-                    self.transmitted += 1;
-                    transmitted += 1;
-                }
-            }
-            if !ended {
-                // The borrowed frame is parsed to owned form before the
-                // match arm ends, so the source can be pulled again next
-                // cycle.
-                let parsed = match source.next_frame() {
-                    Ok(Some(frame)) => {
-                        offered += 1;
-                        Some(wire::parse(frame, cfg))
-                    }
-                    Ok(None) => {
-                        ended = true;
-                        None
-                    }
-                    Err(e) => {
-                        ended = true;
-                        src_err = Some(e);
-                        None
-                    }
-                };
-                match parsed {
-                    Some(Ok(wp)) => {
-                        let processed = self.ingress.process(wp.pkt);
-                        if queue.len() >= self.capacity {
-                            self.drops.bump(DropReason::QueueFull);
-                        } else {
-                            queue.push_back((self.now, processed, wp.layout));
-                        }
-                    }
-                    Some(Err(verdict)) => self.drops.bump(DropReason::Parse(verdict)),
-                    None => {}
-                }
-            }
-            if ended && queue.is_empty() {
-                break;
-            }
-            self.now += 1;
-        }
-        match src_err {
-            None => Ok(RunStats {
-                offered,
-                transmitted,
-            }),
-            Some(error) => Err(self.source_fault_report(
-                offered,
-                transmitted,
-                self.drops.since(&drops_before),
-                error,
-            )),
-        }
+    /// Closes a serial run: its stats, or, if the source failed, a
+    /// [`FaultReport`] with this switch as its only lane and
+    /// `salvaged()` as the output it recovered.
+    fn close(
+        &self,
+        (stats, error): (RunStats, Option<SourceError>),
+        before: &DropCounters,
+        salvaged: impl FnOnce() -> Vec<Packet>,
+    ) -> Result<RunStats, SwitchError> {
+        let Some(error) = error else {
+            return Ok(stats);
+        };
+        let output = salvaged();
+        let at = stats.offered;
+        Err(SwitchError::Fault(FaultReport::closed(
+            at,
+            stats.transmitted,
+            Vec::new(),
+            Some(SourceFault { at, error }),
+            vec![self.salvage(0, at, output.clone(), before)],
+            output,
+        )))
     }
 
     /// Opens a streaming run session: anything convertible to a
     /// [`PacketSource`] (a `&[Packet]` slice, a `&Vec<Packet>`, a
     /// generator, a pcap-backed source) drives the switch through the
-    /// returned [`Run`] builder. This is the single entry point the old
-    /// `run_trace`/`run_sched_trace` family collapsed into.
+    /// returned [`Run`] builder.
     ///
     /// ```
     /// use banzai::stream::GenSource;
@@ -1032,6 +832,16 @@ impl<E: PipelineEngine> Switch<E> {
     /// to a [`FrameSource`] (a slice of frames, a pcap reader) drives the
     /// parse → pipeline → deparse path through the returned [`FrameRun`]
     /// builder.
+    ///
+    /// Each arrival cycle admits one frame. A frame that fails to parse
+    /// is dropped on its arrival cycle under the matching
+    /// [`DropReason::Parse`] counter (malformed traffic still consumes
+    /// arrival slots, as on a real wire; it just never reaches ingress).
+    /// Accepted frames carry their [`WireLayout`] through the queue,
+    /// under the configured [`SchedSpec`] like any packet, so egress
+    /// re-serializes every pipeline-modified field back into its wire
+    /// position and all unparsed bytes (options, payloads) survive
+    /// verbatim.
     pub fn run_frames<'c, S: IntoFrameSource>(
         &mut self,
         source: S,
@@ -1043,6 +853,70 @@ impl<E: PipelineEngine> Switch<E> {
             cfg,
         }
     }
+}
+
+/// A queue entry: the arrival cycle, the ingress-processed packet, and
+/// its wire layout when the packet was born from a frame.
+pub(crate) type Queued = (i64, Packet, Option<Box<WireLayout>>);
+
+/// What the run core pulls per arrival: a packet to queue, or the
+/// verdict of a frame the parser rejected.
+pub(crate) type Arrival = Result<Queued, ParseVerdict>;
+
+/// A source of arrivals for [`Switch::run_core`] and the sharded
+/// dispatcher.
+pub(crate) trait Arrivals {
+    /// Pulls the next arrival, `Ok(None)` at end of stream. `local` is
+    /// the run's own clock: local-clock sources stamp the arrival with
+    /// it, stamped sources carry their own cycle.
+    fn next_arrival(&mut self, local: i64) -> Result<Option<Arrival>, SourceError>;
+}
+
+/// A [`PacketSource`] on the local clock.
+pub(crate) struct Packets<'a, S>(pub(crate) &'a mut S);
+
+impl<S: PacketSource> Arrivals for Packets<'_, S> {
+    fn next_arrival(&mut self, local: i64) -> Result<Option<Arrival>, SourceError> {
+        Ok(self.0.next_packet()?.map(|pkt| Ok((local, pkt, None))))
+    }
+}
+
+/// A [`FrameSource`] on the local clock, parsed as it is pulled.
+pub(crate) struct Frames<'a, S> {
+    pub(crate) src: &'a mut S,
+    pub(crate) cfg: &'a WireConfig,
+}
+
+impl<S: FrameSource> Arrivals for Frames<'_, S> {
+    fn next_arrival(&mut self, local: i64) -> Result<Option<Arrival>, SourceError> {
+        let cfg = self.cfg;
+        Ok(self.src.next_frame()?.map(|frame| {
+            wire::parse(frame, cfg).map(|wp| (local, wp.pkt, Some(Box::new(wp.layout))))
+        }))
+    }
+}
+
+/// A shard's batch, stamped with global arrival cycles. Each packet is
+/// taken out as it is pulled; the stamps stay, so a fault can name the
+/// packet it hit.
+pub(crate) struct Stamped<'a>(pub(crate) std::slice::IterMut<'a, Queued>);
+
+impl Arrivals for Stamped<'_> {
+    fn next_arrival(&mut self, _local: i64) -> Result<Option<Arrival>, SourceError> {
+        Ok(self
+            .0
+            .next()
+            .map(|(t, pkt, layout)| Ok((*t, std::mem::take(pkt), layout.take()))))
+    }
+}
+
+/// How a run drains its queue (see [`Switch::run_core`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Drain {
+    /// One departure every `drain_period` cycles while packets arrive.
+    Periodic,
+    /// Admit only; the caller drains the burst afterwards.
+    Burst,
 }
 
 /// A configured line-rate run session on a serial [`Switch`] — the
@@ -1064,10 +938,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// drain that makes the discipline observable.
     pub fn sched(self, spec: SchedSpec) -> SchedRun<'s, E, S> {
         self.switch.set_scheduler(spec);
-        SchedRun {
-            switch: self.switch,
-            source: self.source,
-        }
+        self.scheduled()
     }
 
     /// Switches this session to the scheduling regime under the queue's
@@ -1082,6 +953,13 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// Runs the session and collects every transmitted packet, in order —
     /// bit-identical to streaming them through [`Run::for_each`].
     ///
+    /// Each input packet is processed by ingress and enqueued (or dropped
+    /// if the queue is full); the queue drains one packet every
+    /// `drain_period` cycles through egress. One input packet arrives per
+    /// cycle (the line-rate assumption); `enq_ts`/`qdepth` metadata (or
+    /// the configured names) and the dequeue time `now` are stamped at
+    /// departure, so egress programs can compute sojourn times.
+    ///
     /// # Errors
     ///
     /// [`SwitchError::Fault`] if the source fails mid-stream; the report
@@ -1090,17 +968,14 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     pub fn collect(mut self) -> Result<Vec<Packet>, SwitchError> {
         let (lo, hi) = self.source.size_hint();
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
-        match self
-            .switch
-            .run_source_core(&mut self.source, &mut |p| out.push(p))
-        {
-            Ok(_) => Ok(out),
-            Err(mut report) => {
-                report.merged.clone_from(&out);
-                report.salvage[0].output = out;
-                Err(SwitchError::Fault(report))
-            }
-        }
+        let before = self.switch.drops.clone();
+        let run = self.switch.run_core(
+            &mut Packets(&mut self.source),
+            Drain::Periodic,
+            &mut |d, _| out.push(d.pkt),
+        );
+        self.switch.close(run, &before, || out.clone())?;
+        Ok(out)
     }
 
     /// Runs the session, streaming each transmitted packet to `sink` the
@@ -1113,15 +988,18 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// already handed to `sink` are not replayed in the report's salvage;
     /// the sink saw them the moment they departed).
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        self.switch
-            .run_source_core(&mut self.source, &mut sink)
-            .map_err(SwitchError::Fault)
+        let before = self.switch.drops.clone();
+        let run = self.switch.run_core(
+            &mut Packets(&mut self.source),
+            Drain::Periodic,
+            &mut |d, _| sink(d.pkt),
+        );
+        self.switch.close(run, &before, Vec::new)
     }
 }
 
-/// A run session in the scheduling regime (see
-/// [`Switch::run_sched_trace`]'s historical docs for the burst-then-drain
-/// semantics) — built by [`Run::sched`] or [`Run::scheduled`].
+/// A run session in the scheduling regime — built by [`Run::sched`] or
+/// [`Run::scheduled`].
 #[must_use = "a run session does nothing until `collect` runs it"]
 pub struct SchedRun<'s, E: PipelineEngine, S: PacketSource> {
     switch: &'s mut Switch<E>,
@@ -1129,17 +1007,49 @@ pub struct SchedRun<'s, E: PipelineEngine, S: PacketSource> {
 }
 
 impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
-    /// Runs the burst + drain and returns one [`SchedDeparture`] per
-    /// transmitted packet, in departure order.
+    /// Runs a **scheduling experiment** and returns one
+    /// [`SchedDeparture`] per transmitted packet, in departure order.
+    ///
+    /// The whole source arrives as a back-to-back burst (one packet per
+    /// cycle, cycles `0..n`), then the queue drains at one packet per
+    /// cycle from cycle `n` in whatever order the configured
+    /// [`SchedSpec`] dictates. This is the regime where a scheduler is
+    /// observable at all: under [`Run::collect`]'s line-rate admission
+    /// the queue never holds more than one packet, so every discipline
+    /// degenerates to FIFO. The burst builds a standing queue of up to
+    /// `capacity` packets (arrivals beyond that drop under the policy's
+    /// reason — [`DropReason::SchedFull`] for rank schedulers), and the
+    /// drain exposes the discipline's order. `drain_period` is ignored:
+    /// the drain *is* the one-packet-per-cycle output link.
+    ///
+    /// Under a [`SchedSpec::Shaping`] policy a packet's rank is its
+    /// earliest-departure cycle: the link idles until the head's rank,
+    /// so departure times (not just order) are programmed.
+    ///
+    /// Egress metadata is stamped per departure (`enq_ts` = arrival
+    /// cycle, `now` = departure cycle, `qdepth` = packets still queued),
+    /// so sojourn-aware egress programs (CoDel) observe the scheduler's
+    /// actual queueing delays. The arrival clock is run-local (restarts
+    /// at 0 each call); engine state and the drop/transmit counters
+    /// accumulate across calls as usual.
     ///
     /// # Errors
     ///
     /// [`SwitchError::Fault`] if the source fails mid-burst; everything
     /// admitted still drains and is reported, with closed books.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError> {
-        self.switch
-            .run_sched_source_core(&mut self.source)
-            .map_err(SwitchError::Fault)
+        let before = self.switch.drops.clone();
+        let (mut stats, error) =
+            self.switch
+                .run_core(&mut Packets(&mut self.source), Drain::Burst, &mut |_, _| {});
+        let mut out = Vec::with_capacity(self.switch.queue_depth());
+        stats.transmitted = self
+            .switch
+            .drain_burst(stats.offered, &mut |d, _| out.push(d));
+        self.switch.close((stats, error), &before, || {
+            out.iter().map(|d| d.pkt.clone()).collect()
+        })?;
+        Ok(out)
     }
 }
 
@@ -1161,15 +1071,10 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
     /// capture file); frames transmitted before the failure are in the
     /// report's accounting, and malformed-but-complete frames are *not*
     /// errors — they are [`DropReason::Parse`] drops as always.
-    pub fn collect(mut self) -> Result<Vec<Vec<u8>>, SwitchError> {
+    pub fn collect(self) -> Result<Vec<Vec<u8>>, SwitchError> {
         let mut out = Vec::new();
-        match self
-            .switch
-            .run_wire_source_core(&mut self.source, self.cfg, &mut |f| out.push(f))
-        {
-            Ok(_) => Ok(out),
-            Err(report) => Err(SwitchError::Fault(report)),
-        }
+        self.for_each(|f| out.push(f))?;
+        Ok(out)
     }
 
     /// Runs the session, streaming each transmitted frame to `sink` —
@@ -1179,9 +1084,20 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
     ///
     /// [`SwitchError::Fault`] if the source fails mid-stream.
     pub fn for_each<F: FnMut(Vec<u8>)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        self.switch
-            .run_wire_source_core(&mut self.source, self.cfg, &mut sink)
-            .map_err(SwitchError::Fault)
+        let before = self.switch.drops.clone();
+        let mut frames = Frames {
+            src: &mut self.source,
+            cfg: self.cfg,
+        };
+        let run = self
+            .switch
+            .run_core(&mut frames, Drain::Periodic, &mut |d, layout| {
+                // Frame-born packets always carry their layout.
+                if let Some(layout) = layout {
+                    sink(wire::deparse(&d.pkt, &layout));
+                }
+            });
+        self.switch.close(run, &before, Vec::new)
     }
 }
 
@@ -1234,21 +1150,35 @@ mod tests {
         assert!(out.iter().all(|p| p.get("qdepth").is_some()));
     }
 
+    /// Runs `(cycle, packet)` arrivals on caller stamps, as a shard lane
+    /// does.
+    fn stamped(sw: &mut Switch, batch: &[(i64, Packet)]) -> Result<Vec<Packet>, SwitchError> {
+        sw.line_rate()?;
+        let mut lane: Vec<Queued> = batch.iter().map(|(t, p)| (*t, p.clone(), None)).collect();
+        let mut out = Vec::new();
+        sw.run_core(
+            &mut Stamped(lane.iter_mut()),
+            Drain::Periodic,
+            &mut |d, _| out.push(d.pkt),
+        );
+        Ok(out)
+    }
+
     #[test]
     fn stamped_run_equals_serial_run_at_line_rate() {
         let trace: Vec<Packet> = (0..20).map(|i| Packet::new().with("seq", i)).collect();
         let mut serial = Switch::new(passthrough("in"), passthrough("out"), 8);
         let serial_out = serial.run(&trace).collect().unwrap();
-        let mut stamped = Switch::new(passthrough("in"), passthrough("out"), 8);
+        let mut shard = Switch::new(passthrough("in"), passthrough("out"), 8);
         let batch: Vec<(i64, Packet)> = trace
             .iter()
             .enumerate()
             .map(|(i, p)| (i as i64, p.clone()))
             .collect();
-        let stamped_out = stamped.run_stamped_batch(&batch).unwrap();
+        let stamped_out = stamped(&mut shard, &batch).unwrap();
         assert_eq!(serial_out, stamped_out);
-        assert_eq!(serial.transmitted(), stamped.transmitted());
-        assert_eq!(serial.drops(), stamped.drops());
+        assert_eq!(serial.transmitted(), shard.transmitted());
+        assert_eq!(serial.drops(), shard.drops());
     }
 
     #[test]
@@ -1267,7 +1197,7 @@ mod tests {
                 .filter(|(i, _)| i % 2 == parity)
                 .map(|(i, p)| (i as i64, p.clone()))
                 .collect();
-            let out = shard.run_stamped_batch(&batch).unwrap();
+            let out = stamped(&mut shard, &batch).unwrap();
             let expected: Vec<Packet> = serial_out
                 .iter()
                 .enumerate()
@@ -1281,7 +1211,7 @@ mod tests {
     #[test]
     fn stamped_rejects_oversubscribed_links() {
         let mut sw = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        let err = sw.run_stamped_batch::<Packet>(&[]).unwrap_err();
+        let err = stamped(&mut sw, &[]).unwrap_err();
         assert!(
             matches!(&err, SwitchError::Unsupported(msg) if msg.contains("line-rate egress link")),
             "{err}"
@@ -1529,37 +1459,5 @@ mod tests {
         assert_eq!(report.accounting.transmitted, 10, "admitted burst drains");
         assert!(report.accounting.conserved());
         assert_eq!(report.merged.len(), 10);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapters_match_the_builder() {
-        use crate::pifo::SchedSpec;
-        use crate::wire::{encode, FrameSpec, WireConfig};
-
-        let trace: Vec<Packet> = (0..30).map(|i| Packet::new().with("seq", i)).collect();
-        let mut old = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        let mut new = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        assert_eq!(old.run_trace(&trace), new.run(&trace).collect().unwrap());
-
-        let mut old = Switch::new(passthrough("in"), passthrough("out"), 8)
-            .with_scheduler(SchedSpec::Pifo { rank: "seq".into() });
-        let mut new = Switch::new(passthrough("in"), passthrough("out"), 8)
-            .with_scheduler(SchedSpec::Pifo { rank: "seq".into() });
-        assert_eq!(
-            old.run_sched_trace(&trace),
-            new.run(&trace).scheduled().collect().unwrap()
-        );
-
-        let cfg = WireConfig::new();
-        let frames: Vec<Vec<u8>> = (0..5)
-            .map(|_| encode(&Packet::new(), &cfg, &FrameSpec::default()))
-            .collect();
-        let mut old = Switch::new(passthrough("in"), passthrough("out"), 8);
-        let mut new = Switch::new(passthrough("in"), passthrough("out"), 8);
-        assert_eq!(
-            old.run_wire_trace(&frames, &cfg),
-            new.run_frames(&frames, &cfg).collect().unwrap()
-        );
     }
 }

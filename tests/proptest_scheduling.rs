@@ -7,18 +7,23 @@
 //!   order breaking ties — for any rank distribution, tie density, and
 //!   capacity, including under interleaved push/pop against a naive
 //!   model;
-//! * the sharded scheduling run ([`ShardedSwitch::run_sched_trace`]) is
-//!   **bit-identical to serial** — departures, drop counters, and the
-//!   state of a departure-order-sensitive egress — across disciplines,
-//!   shard counts, capacities, and batch/ring geometries;
+//! * the sharded scheduling run (`run(..).scheduled().collect()` on a
+//!   [`ShardedSwitch`]) is **bit-identical to serial** — departures, drop
+//!   counters, and the state of a departure-order-sensitive egress —
+//!   across disciplines, shard counts, capacities, and batch/ring
+//!   geometries;
+//! * **frame-born == packet-born**: a byte-frame run queues under the
+//!   configured discipline exactly like the run of its parsed packets —
+//!   same output bytes, drop counters, and state — at every drain period
+//!   and capacity;
 //! * **conservation under `SchedFull` pressure**: a rank scheduler at
 //!   capacity `c` admits exactly `min(n, c)` of an `n`-packet burst and
 //!   books the rest under the pinned `sched_full` reason, with
 //!   `offered == transmitted + dropped` in every configuration.
 
 use banzai::{
-    AtomKind, AtomPipeline, DropReason, Pifo, SchedKey, SchedSpec, Scheduler, ShardConfig,
-    ShardedSwitch, Switch, Target,
+    deparse, encode, parse, AtomKind, AtomPipeline, DropReason, FrameSpec, Pifo, SchedKey,
+    SchedSpec, Scheduler, ShardConfig, ShardedSwitch, Switch, Target, WireConfig,
 };
 use domino_ir::Packet;
 use proptest::prelude::*;
@@ -45,6 +50,12 @@ const SOJOURN_EGRESS: &str = "struct P { int enq_ts; int now; int qdepth; int so
 
 fn counter_pipeline() -> AtomPipeline {
     domino_compiler::compile(COUNTER, &Target::banzai(AtomKind::Raw)).unwrap()
+}
+
+/// The per-flow counter keyed on the `dport` wire field instead.
+fn counter_pipeline_on_dport() -> AtomPipeline {
+    let source = COUNTER.replace("flow", "dport");
+    domino_compiler::compile(&source, &Target::banzai(AtomKind::Raw)).unwrap()
 }
 
 fn sojourn_pipeline() -> AtomPipeline {
@@ -212,5 +223,65 @@ proptest! {
         prop_assert_eq!(counters.get(DropReason::SchedFull), (n - admitted) as u64);
         prop_assert_eq!(counters.get(DropReason::QueueFull), 0);
         prop_assert_eq!(sw.transmitted() + sw.drops(), n as u64);
+    }
+
+    /// Frame-born runs honour the configured discipline: a switch fed
+    /// encoded frames transmits exactly the bytes of its packet-born twin
+    /// (the parsed packets, deparsed into their own frames), with the
+    /// same per-reason drops and exported state — under every
+    /// discipline, drain period 1–3, and capacities down to 1. The queue
+    /// metadata rides a trailer, so departure order and timing show in
+    /// the bytes.
+    #[test]
+    fn frame_born_equals_packet_born_under_every_discipline(
+        flows in proptest::collection::vec((0..16u16, 0..48u16), 1..80),
+        spec_sel in 0..4usize,
+        drain in 1..=3usize,
+        capacity in 1..=8usize,
+    ) {
+        let ingress = counter_pipeline_on_dport();
+        let egress = AtomPipeline::passthrough("egress");
+        let spec = match spec_sel {
+            0 => SchedSpec::Fifo,
+            1 => SchedSpec::Pifo { rank: "c".into() },
+            2 => SchedSpec::Priority { class: "cls".into(), rank: "c".into() },
+            _ => SchedSpec::Shaping { rank: "sport".into() },
+        };
+        let cfg = WireConfig::with_meta_fields(["c", "cls", "enq_ts", "now", "qdepth"]).unwrap();
+        let frames: Vec<Vec<u8>> = flows
+            .iter()
+            .map(|&(dport, sport)| {
+                let pkt = Packet::new().with("cls", (dport % 3) as i32);
+                encode(&pkt, &cfg, &FrameSpec { dport, sport, ..FrameSpec::default() })
+            })
+            .collect();
+        let parsed: Vec<_> = frames.iter().map(|f| parse(f, &cfg).unwrap()).collect();
+        let packets: Vec<Packet> = parsed.iter().map(|wp| wp.pkt.clone()).collect();
+        let build = || {
+            Switch::new_slot(&ingress, &egress, capacity)
+                .unwrap()
+                .with_drain_period(drain as u64)
+                .with_scheduler(spec.clone())
+        };
+
+        let mut packet_born = build();
+        let expected: Vec<Vec<u8>> = packet_born
+            .run(&packets)
+            .collect()
+            .expect("slice-backed sources cannot fail mid-stream")
+            .iter()
+            .map(|p| deparse(p, &parsed[p.expect("enq_ts") as usize].layout))
+            .collect();
+        let mut frame_born = build();
+        let got = frame_born
+            .run_frames(&frames, &cfg)
+            .collect()
+            .expect("slice-backed sources cannot fail mid-stream");
+
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(frame_born.drop_counters(), packet_born.drop_counters());
+        prop_assert_eq!(frame_born.transmitted(), packet_born.transmitted());
+        prop_assert_eq!(frame_born.export_ingress_state(), packet_born.export_ingress_state());
+        prop_assert_eq!(frame_born.export_egress_state(), packet_born.export_egress_state());
     }
 }

@@ -349,3 +349,168 @@ fn facade_sharded_switch_runs_flowlet_end_to_end() {
     assert_eq!(out.len(), 500);
     assert_eq!(sw.transmitted(), 500);
 }
+
+/// A per-flow counter over the `dport` wire field: keyed, so frames fan
+/// out across shards by their parsed headers.
+const DPORT_COUNTER: &str = "struct P { int dport; int c; };\nint counts[16] = {0};\n\
+                             void count(struct P pkt) {\n\
+                               counts[pkt.dport] = counts[pkt.dport] + 1;\n\
+                               pkt.c = counts[pkt.dport];\n\
+                             }";
+
+/// An egress that writes the departure cycle into a wire field, so the
+/// clock a shard ran on shows in its output bytes.
+const NOW_TO_SPORT: &str = "struct P { int now; int sport; };\n\
+                            void stamp(struct P pkt) {\n\
+                              pkt.sport = pkt.now;\n\
+                            }";
+
+fn compile_raw(source: &str) -> AtomPipeline {
+    domino_compiler::compile(source, &Target::banzai(banzai::AtomKind::Raw)).unwrap()
+}
+
+/// `n` valid TCP frames over 16 `dport` flows.
+fn dport_frames(n: usize, cfg: &banzai::WireConfig) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|i| {
+            let spec = banzai::FrameSpec {
+                dport: (i * 7 % 16) as u16,
+                sport: 1000 + i as u16,
+                ..banzai::FrameSpec::default()
+            };
+            banzai::encode(&Packet::new(), cfg, &spec)
+        })
+        .collect()
+}
+
+/// Each frame's shard, as the dispatcher steers it: by its parsed
+/// packet, or `i % n` when it does not parse.
+fn frame_assignment(
+    sw: &ShardedSwitch,
+    frames: &[Vec<u8>],
+    cfg: &banzai::WireConfig,
+) -> Vec<usize> {
+    let n = sw.plan().effective();
+    frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| match banzai::parse(f, cfg) {
+            Ok(wp) => sw.plan().steer(i, &wp.pkt),
+            Err(_) => i % n,
+        })
+        .collect()
+}
+
+/// Sharded frame runs stamp global arrival cycles, as sharded packet runs
+/// do: with an egress that copies `now` into `sport`, every shard's
+/// output frames equal the serial switch's at the steered positions.
+#[test]
+fn sharded_frames_run_on_the_global_clock() {
+    let cfg = banzai::WireConfig::new();
+    let ingress = compile_raw(DPORT_COUNTER);
+    let egress = compile_raw(NOW_TO_SPORT);
+    let frames = dport_frames(40, &cfg);
+
+    let mut serial = Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
+    let serial_out = serial.run_frames(&frames, &cfg).collect().unwrap();
+    assert_eq!(serial_out.len(), frames.len());
+
+    let mut sharded = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(2)).unwrap();
+    assert_eq!(sharded.plan().effective(), 2, "{}", sharded.plan());
+    let parts = sharded.run_frames(&frames, &cfg).partitioned().unwrap();
+    let assignment = frame_assignment(&sharded, &frames, &cfg);
+    for (s, part) in parts.iter().enumerate() {
+        let expected: Vec<&Vec<u8>> = assignment
+            .iter()
+            .enumerate()
+            .filter(|&(_, &shard)| shard == s)
+            .map(|(i, _)| &serial_out[i])
+            .collect();
+        let got: Vec<&Vec<u8>> = part.iter().collect();
+        assert_eq!(got, expected, "shard {s} ran on its own clock");
+    }
+    assert_eq!(
+        sharded.export_merged_ingress_state().unwrap(),
+        serial.export_ingress_state()
+    );
+}
+
+/// An oversubscribed egress link couples the shards through the shared
+/// queue: every sharded forwarding run refuses it up front, frame-born
+/// or packet-born.
+#[test]
+fn sharded_runs_refuse_an_oversubscribed_link() {
+    let cfg = banzai::WireConfig::new();
+    let ingress = compile_raw(DPORT_COUNTER);
+    let egress = AtomPipeline::passthrough("egress");
+    let frames = dport_frames(20, &cfg);
+    let trace: Vec<Packet> = frames
+        .iter()
+        .map(|f| banzai::parse(f, &cfg).unwrap().pkt)
+        .collect();
+    let slow = || {
+        ShardedSwitch::<banzai::SlotMachine>::new_with(
+            &ingress,
+            &egress,
+            ShardConfig::new(2),
+            |_, ing, eg, cap| Ok(Switch::new_slot(ing, eg, cap)?.with_drain_period(3)),
+        )
+        .unwrap()
+    };
+    let unsupported = |res: Result<(), banzai::SwitchError>, path: &str| match res {
+        Err(banzai::SwitchError::Unsupported(msg)) => {
+            assert!(msg.contains("line-rate egress link"), "{path}: {msg}")
+        }
+        other => panic!("{path}: expected Unsupported, got {other:?}"),
+    };
+    let mut sw = slow();
+    unsupported(
+        sw.run_frames(&frames, &cfg).partitioned().map(drop),
+        "frames partitioned",
+    );
+    unsupported(sw.run(&trace).partitioned().map(drop), "partitioned");
+    unsupported(sw.run(&trace).instrumented().map(drop), "instrumented");
+    unsupported(sw.run(&trace).for_each(|_| {}).map(drop), "for_each");
+    unsupported(sw.run(&trace).collect().map(drop), "collect");
+    assert_eq!(sw.transmitted() + sw.drops(), 0, "nothing ran");
+}
+
+/// The dispatcher books frame `i`'s parse drop on shard `i % n`: with a
+/// source that fails right after the last frame, every shard's salvage
+/// closes its own books — steered frames are transmitted or dropped on
+/// that shard, none lost.
+#[test]
+fn malformed_frames_are_booked_on_their_dealt_shard() {
+    const SHARDS: usize = 3;
+    let cfg = banzai::WireConfig::new();
+    let ingress = compile_raw(DPORT_COUNTER);
+    let egress = AtomPipeline::passthrough("egress");
+    let mut frames = dport_frames(60, &cfg);
+    for i in (0..frames.len()).step_by(4) {
+        frames[i].truncate(9 + i % 30); // cut inside Ethernet or IPv4
+    }
+    let mut sw = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(SHARDS)).unwrap();
+    let assignment = frame_assignment(&sw, &frames, &cfg);
+
+    let src = banzai::FailAfter::new(
+        banzai::FrameSliceSource::new(&frames),
+        frames.len() as u64,
+        "capture ends torn",
+    );
+    let err = sw.run_frames(src, &cfg).partitioned().unwrap_err();
+    let report = err.fault().expect("a source fault");
+    assert_eq!(report.accounting.offered, frames.len() as u64);
+    assert!(report.accounting.conserved(), "{}", report.accounting);
+    assert_eq!(report.accounting.lost_in_fault, 0);
+    for s in 0..SHARDS {
+        let salvage = report.shard(s).unwrap();
+        let steered = assignment.iter().filter(|&&a| a == s).count() as u64;
+        let malformed = (0..frames.len())
+            .filter(|&i| i % SHARDS == s && banzai::parse(&frames[i], &cfg).is_err())
+            .count() as u64;
+        assert!(malformed > 0, "shard {s} was dealt no malformed frame");
+        assert_eq!(salvage.offered, steered, "shard {s}");
+        assert_eq!(salvage.drops.parse_total(), malformed, "shard {s}");
+        assert_eq!(salvage.lost(), 0, "shard {s}: books do not close");
+    }
+}
