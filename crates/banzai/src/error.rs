@@ -277,9 +277,6 @@ pub enum SwitchError {
     /// The requested operation is not supported in this configuration
     /// (e.g. stamped execution on an oversubscribed link).
     Unsupported(String),
-    /// The steering mode defines no state partition, so a merged state
-    /// snapshot cannot be reconstructed.
-    StatePartition(String),
     /// One or more shard workers faulted during a run; the report holds
     /// everything salvaged. Boxed: the report carries packet vectors.
     Fault(Box<FaultReport>),
@@ -305,7 +302,6 @@ impl fmt::Display for SwitchError {
         match self {
             SwitchError::Build(msg) => write!(f, "cannot build switch: {msg}"),
             SwitchError::Unsupported(msg) => write!(f, "unsupported configuration: {msg}"),
-            SwitchError::StatePartition(msg) => write!(f, "no state partition: {msg}"),
             SwitchError::Fault(report) => {
                 if !report.failures.is_empty() {
                     let failures: Vec<String> =

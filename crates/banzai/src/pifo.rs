@@ -9,17 +9,17 @@
 //! computed by an ordinary Domino program (STFQ's virtual start time,
 //! CoDel's deadline). This module provides that primitive:
 //!
-//! * [`Scheduler`] — the queue discipline contract the switch drives; the
-//!   drop-tail FIFO the switch always had is the [`Fifo`] implementation,
+//! * [`Scheduler`] — the queue discipline contract: push under a
+//!   [`SchedKey`], pop whatever departs next,
 //! * [`Pifo`] — the binary-heap PIFO block: pop in ascending
 //!   [`SchedKey`] order with a **stable FIFO tie-break on arrival
-//!   order**, bounded capacity,
-//! * [`HierPifo`] — hierarchical composition (PIFO-of-PIFOs): a root PIFO
-//!   of class tokens ranked by class picks *which* leaf transmits next,
-//!   and that class's leaf PIFO picks *what* — strict priority across
-//!   classes over rank order (e.g. per-class WFQ) within each,
+//!   order**, bounded capacity. It is the switch's only queue: under a
+//!   constant key it pops in arrival order (the drop-tail FIFO), and
+//!   under a `(class, rank)` key it pops strict priority across classes
+//!   over rank order within each — the order a PIFO tree (a root over
+//!   classes, one rank-ordered leaf per class) would produce,
 //! * [`SchedSpec`] — the switch-facing policy: which packet fields feed
-//!   the key, which queue shape to build, and which
+//!   the key, whether pops wait for the rank's cycle (shaping), and which
 //!   [`DropReason`](crate::switch::DropReason) a rejected packet counts
 //!   under ([`DropReason::SchedFull`](crate::switch::DropReason) for every
 //!   rank scheduler; the FIFO keeps its historical
@@ -33,7 +33,7 @@
 
 use domino_ir::Packet;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// The scheduling key of one packet: `(class, rank)`, compared
 /// lexicographically — class is the outer (strict-priority) level, rank
@@ -80,50 +80,6 @@ pub trait Scheduler<T> {
     /// Whether the queue is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The drop-tail FIFO the switch always had, as a [`Scheduler`]: keys are
-/// recorded but ignored for ordering — departure order is arrival order.
-#[derive(Debug, Clone)]
-pub struct Fifo<T> {
-    items: VecDeque<(SchedKey, T)>,
-    capacity: usize,
-}
-
-impl<T> Fifo<T> {
-    /// An empty FIFO bounded at `capacity` items.
-    pub fn bounded(capacity: usize) -> Fifo<T> {
-        Fifo {
-            items: VecDeque::new(),
-            capacity,
-        }
-    }
-}
-
-impl<T> Scheduler<T> for Fifo<T> {
-    fn push(&mut self, key: SchedKey, item: T) -> Result<(), T> {
-        if self.items.len() >= self.capacity {
-            return Err(item);
-        }
-        self.items.push_back((key, item));
-        Ok(())
-    }
-
-    fn pop(&mut self) -> Option<(SchedKey, T)> {
-        self.items.pop_front()
-    }
-
-    fn peek_key(&self) -> Option<SchedKey> {
-        self.items.front().map(|(k, _)| *k)
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -219,187 +175,32 @@ impl<T> Scheduler<T> for Pifo<T> {
     }
 }
 
-/// Hierarchical PIFO-of-PIFOs: a root PIFO of **class tokens** (one per
-/// enqueued item, ranked by class) decides which class transmits next;
-/// that class's **leaf PIFO** (ranked by the item's rank) decides which
-/// item. The net order is strict priority across classes, rank order —
-/// e.g. per-class WFQ — within each, exactly what a flat PIFO over the
-/// composite `(class, rank)` key yields; the two are differentially
-/// tested against each other, and the hierarchy is the shape hardware
-/// composes (the root picks a leaf *without* inspecting leaf occupants).
-///
-/// ```
-/// use banzai::pifo::{HierPifo, Pifo, SchedKey, Scheduler};
-///
-/// let mut q: HierPifo<u32> = HierPifo::bounded(16);
-/// q.push(SchedKey { class: 1, rank: 5 }, 15).unwrap();
-/// q.push(SchedKey { class: 0, rank: 9 }, 9).unwrap();
-/// q.push(SchedKey { class: 0, rank: 7 }, 7).unwrap();
-/// // Class 0 drains first (in rank order), then class 1.
-/// let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-/// assert_eq!(order, [7, 9, 15]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HierPifo<T> {
-    /// One token per enqueued item, keyed `(class, class)` so the root's
-    /// order is pure strict priority.
-    root: Pifo<()>,
-    /// Per-class leaf PIFOs, keyed `(0, rank)`.
-    leaves: BTreeMap<i64, Pifo<T>>,
-    /// Total-occupancy bound across every leaf.
-    capacity: usize,
-    len: usize,
-}
-
-impl<T> HierPifo<T> {
-    /// An empty hierarchy bounded at `capacity` total items.
-    pub fn bounded(capacity: usize) -> HierPifo<T> {
-        HierPifo {
-            root: Pifo::unbounded(),
-            leaves: BTreeMap::new(),
-            capacity,
-            len: 0,
-        }
-    }
-}
-
-impl<T> Scheduler<T> for HierPifo<T> {
-    fn push(&mut self, key: SchedKey, item: T) -> Result<(), T> {
-        if self.len >= self.capacity {
-            return Err(item);
-        }
-        let leaf = self.leaves.entry(key.class).or_insert_with(Pifo::unbounded);
-        leaf.push(SchedKey::rank(key.rank), item)
-            .unwrap_or_else(|_| unreachable!("leaf PIFOs are unbounded"));
-        self.root
-            .push(
-                SchedKey {
-                    class: key.class,
-                    rank: key.class,
-                },
-                (),
-            )
-            .unwrap_or_else(|()| unreachable!("root PIFO is unbounded"));
-        self.len += 1;
-        Ok(())
-    }
-
-    fn pop(&mut self) -> Option<(SchedKey, T)> {
-        let (token, ()) = self.root.pop()?;
-        let leaf = self
-            .leaves
-            .get_mut(&token.class)
-            .expect("root token for an empty class");
-        let (leaf_key, item) = leaf.pop().expect("leaf empty despite root token");
-        self.len -= 1;
-        Some((
-            SchedKey {
-                class: token.class,
-                rank: leaf_key.rank,
-            },
-            item,
-        ))
-    }
-
-    fn peek_key(&self) -> Option<SchedKey> {
-        let token = self.root.peek_key()?;
-        let leaf = self.leaves.get(&token.class)?;
-        Some(SchedKey {
-            class: token.class,
-            rank: leaf.peek_key()?.rank,
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// The switch's queue, dispatching over the discipline the
-/// [`SchedSpec`] selected. (An enum, not a `Box<dyn Scheduler>`: the
-/// switch derives `Clone`, and the FIFO arm keeps the historical
-/// drop-tail path monomorphic.)
-#[derive(Debug, Clone)]
-pub enum SchedQueue<T> {
-    /// Drop-tail FIFO (the default — bit-identical to the pre-PIFO switch).
-    Fifo(Fifo<T>),
-    /// Flat binary-heap PIFO.
-    Pifo(Pifo<T>),
-    /// Hierarchical PIFO-of-PIFOs.
-    Hier(HierPifo<T>),
-}
-
-impl<T> Scheduler<T> for SchedQueue<T> {
-    fn push(&mut self, key: SchedKey, item: T) -> Result<(), T> {
-        match self {
-            SchedQueue::Fifo(q) => q.push(key, item),
-            SchedQueue::Pifo(q) => q.push(key, item),
-            SchedQueue::Hier(q) => q.push(key, item),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SchedKey, T)> {
-        match self {
-            SchedQueue::Fifo(q) => q.pop(),
-            SchedQueue::Pifo(q) => q.pop(),
-            SchedQueue::Hier(q) => q.pop(),
-        }
-    }
-
-    fn peek_key(&self) -> Option<SchedKey> {
-        match self {
-            SchedQueue::Fifo(q) => q.peek_key(),
-            SchedQueue::Pifo(q) => q.peek_key(),
-            SchedQueue::Hier(q) => q.peek_key(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SchedQueue::Fifo(q) => q.len(),
-            SchedQueue::Pifo(q) => q.len(),
-            SchedQueue::Hier(q) => q.len(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            SchedQueue::Fifo(q) => q.capacity(),
-            SchedQueue::Pifo(q) => q.capacity(),
-            SchedQueue::Hier(q) => q.capacity(),
-        }
-    }
-}
-
-/// The scheduling policy a switch runs: which discipline, and which packet
-/// fields — written by the ingress pipeline, i.e. by the rank *program* —
-/// feed the [`SchedKey`]. The fields are read after ingress, so STFQ's
-/// `start`, CoDel's deadline, or a shaper's send time program the
-/// scheduler end-to-end.
+/// The scheduling policy a switch runs: which packet fields — written by
+/// the ingress pipeline, i.e. by the rank *program* — feed the
+/// [`SchedKey`] of the switch's one [`Pifo`]. The fields are read after
+/// ingress, so STFQ's `start`, CoDel's deadline, or a shaper's send time
+/// program the scheduler end-to-end.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedSpec {
-    /// Drop-tail FIFO (the historical switch; keys ignored).
+    /// Drop-tail FIFO (the historical switch): every packet gets the same
+    /// key, so the PIFO's arrival-order tie-break is the whole order.
     #[default]
     Fifo,
-    /// Flat PIFO ranked by the named field — WFQ when the field is an
-    /// STFQ virtual start time.
+    /// PIFO ranked by the named field — WFQ when the field is an STFQ
+    /// virtual start time.
     Pifo {
         /// Packet field supplying the rank.
         rank: String,
     },
-    /// Flat PIFO ranked by the named field, with pops **gated**: a packet
+    /// PIFO ranked by the named field, with pops **gated**: a packet
     /// does not depart before the cycle its rank names (rank =
     /// earliest-departure cycle). Token-bucket / pacing shapers.
     Shaping {
         /// Packet field supplying the earliest-departure cycle.
         rank: String,
     },
-    /// Hierarchical: strict priority by the class field, rank order (per
-    /// the rank field) within each class.
+    /// Strict priority by the class field, rank order (per the rank
+    /// field) within each class: a PIFO keyed on `(class, rank)`.
     Priority {
         /// Packet field supplying the strict-priority class.
         class: String,
@@ -424,17 +225,6 @@ impl SchedSpec {
         }
     }
 
-    /// Builds the queue this policy runs, bounded at `capacity`.
-    pub fn build_queue<T>(&self, capacity: usize) -> SchedQueue<T> {
-        match self {
-            SchedSpec::Fifo => SchedQueue::Fifo(Fifo::bounded(capacity)),
-            SchedSpec::Pifo { .. } | SchedSpec::Shaping { .. } => {
-                SchedQueue::Pifo(Pifo::bounded(capacity))
-            }
-            SchedSpec::Priority { .. } => SchedQueue::Hier(HierPifo::bounded(capacity)),
-        }
-    }
-
     /// The drop reason a packet rejected by a full queue counts under:
     /// the FIFO keeps its historical
     /// [`DropReason::QueueFull`](crate::switch::DropReason); every rank
@@ -452,11 +242,6 @@ impl SchedSpec {
     pub fn is_shaping(&self) -> bool {
         matches!(self, SchedSpec::Shaping { .. })
     }
-
-    /// Whether this is the default FIFO policy.
-    pub fn is_fifo(&self) -> bool {
-        matches!(self, SchedSpec::Fifo)
-    }
 }
 
 #[cfg(test)]
@@ -473,17 +258,6 @@ mod tests {
         }
         assert!(q.is_empty());
         out
-    }
-
-    #[test]
-    fn fifo_ignores_keys_and_bounds_occupancy() {
-        let mut q: Fifo<u32> = Fifo::bounded(3);
-        for (i, rank) in [50i64, 10, 30].iter().enumerate() {
-            q.push(SchedKey::rank(*rank), i as u32).unwrap();
-        }
-        assert_eq!(q.push(SchedKey::rank(0), 99), Err(99));
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
-        assert_eq!(order, [0, 1, 2], "FIFO departs in arrival order");
     }
 
     #[test]
@@ -516,20 +290,9 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_matches_flat_composite_key_pifo() {
-        let keys = [(2i64, 7i64), (0, 9), (1, 1), (0, 2), (2, 7), (1, 1), (0, 9)];
-        let mut hier: HierPifo<usize> = HierPifo::bounded(64);
-        let mut flat: Pifo<usize> = Pifo::bounded(64);
-        for (i, &(class, rank)) in keys.iter().enumerate() {
-            hier.push(SchedKey { class, rank }, i).unwrap();
-            flat.push(SchedKey { class, rank }, i).unwrap();
-        }
-        assert_eq!(drain(&mut hier), drain(&mut flat));
-    }
-
-    #[test]
     fn hierarchy_interleaved_push_pop_still_pops_global_min() {
-        let mut q: HierPifo<&str> = HierPifo::bounded(16);
+        // Strict priority is a class-keyed PIFO: class is the outer key.
+        let mut q: Pifo<&str> = Pifo::bounded(16);
         q.push(SchedKey { class: 1, rank: 0 }, "low-a").unwrap();
         q.push(SchedKey { class: 0, rank: 5 }, "hi-a").unwrap();
         assert_eq!(q.pop().unwrap().1, "hi-a");
@@ -542,7 +305,7 @@ mod tests {
 
     #[test]
     fn hierarchy_capacity_is_total_across_leaves() {
-        let mut q: HierPifo<u32> = HierPifo::bounded(2);
+        let mut q: Pifo<u32> = Pifo::bounded(2);
         q.push(SchedKey { class: 0, rank: 0 }, 0).unwrap();
         q.push(SchedKey { class: 5, rank: 0 }, 1).unwrap();
         assert_eq!(q.push(SchedKey { class: 9, rank: 0 }, 2), Err(2));

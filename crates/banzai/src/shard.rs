@@ -20,8 +20,7 @@
 //!   (`heavy_hitters.domino`'s three differently-hashed count-min rows:
 //!   every shard runs a full copy over packets dealt round-robin —
 //!   balanced even under heavy-tailed flow skew — and exported copies
-//!   fold back elementwise at collect time), an explicit field list,
-//!   whole-packet hashing for
+//!   fold back elementwise at collect time), whole-packet hashing for
 //!   stateless pipelines, or a **single-shard fallback with a two-tier
 //!   diagnostic** when the state survives neither analysis (`rcp.domino`'s
 //!   global registers) — see [`ShardTier`];
@@ -31,8 +30,7 @@
 //!   switch), and merges transmitted packets by **seeded
 //!   round-robin** — per-flow order is preserved exactly (a flow, as
 //!   defined by the steering key, lives on one shard; under stateless
-//!   whole-packet steering that means identical packets — steer with
-//!   [`SteerMode::Fields`] for a field-subset flow definition), and the
+//!   whole-packet steering that means identical packets), and the
 //!   cross-flow interleaving is a deterministic function of the seed, so
 //!   differential tests stay bit-reproducible run to run;
 //! * merged state export — under keyed steering each array slot belongs
@@ -107,8 +105,6 @@ pub struct ShardConfig {
     pub seed: u64,
     /// Per-shard queue capacity (see [`Switch::capacity`]).
     pub capacity: usize,
-    /// How to steer packets to shards.
-    pub steer: SteerMode,
     /// What the dispatcher does when a shard's ring stays full.
     pub backpressure: Backpressure,
     /// Watchdog window in milliseconds: how long the dispatcher blocks on
@@ -123,8 +119,8 @@ pub struct ShardConfig {
 
 impl ShardConfig {
     /// A config with `shards` workers and the defaults: 256-packet
-    /// batches, an 8-batch ring, capacity 512, automatic steering,
-    /// blocking backpressure with a 5-second watchdog.
+    /// batches, an 8-batch ring, capacity 512, blocking backpressure with
+    /// a 5-second watchdog.
     pub fn new(shards: usize) -> ShardConfig {
         ShardConfig {
             shards: shards.max(1),
@@ -132,7 +128,6 @@ impl ShardConfig {
             ring: 8,
             seed: 0x5EED_0001,
             capacity: 512,
-            steer: SteerMode::Auto,
             backpressure: Backpressure::Block,
             watchdog_ms: 5_000,
             sched: SchedSpec::Fifo,
@@ -160,12 +155,6 @@ impl ShardConfig {
     /// Overrides the ring depth (batches per shard channel, floored at 1).
     pub fn with_ring(mut self, ring: usize) -> ShardConfig {
         self.ring = ring.max(1);
-        self
-    }
-
-    /// Overrides the steering mode.
-    pub fn with_steer(mut self, steer: SteerMode) -> ShardConfig {
-        self.steer = steer;
         self
     }
 
@@ -211,19 +200,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// How the dispatcher picks a shard for each packet.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SteerMode {
-    /// Derive the flow key from the pipelines' own state indexing (the
-    /// default); falls back to a single shard — with a diagnostic — when
-    /// the indexing is not partitionable.
-    Auto,
-    /// Hash the named packet fields, RSS-style. The caller asserts that
-    /// this key refines the pipelines' state partitioning; merged-state
-    /// export is unavailable in this mode (per-shard states still are).
-    Fields(Vec<String>),
-}
-
 /// The resolved steering rule (see [`ShardPlan`]).
 #[derive(Debug, Clone, PartialEq)]
 enum ResolvedSteer {
@@ -231,13 +207,10 @@ enum ResolvedSteer {
     Single,
     /// Steer by the extracted flow key — bit-exact serial equivalence.
     Keyed(FlowKeySpec),
-    /// Steer by a user-supplied field list.
-    Fields(Vec<String>),
     /// Both pipelines are stateless: hash the whole packet. Only
     /// bit-identical packets are guaranteed to share a shard — a flow
-    /// defined by a *subset* of fields may spread across shards (the
-    /// pure pipelines make that state-safe, but callers who need
-    /// per-flow ordering must steer with [`SteerMode::Fields`]).
+    /// defined by a *subset* of fields may spread across shards, which
+    /// the pure pipelines make state-safe.
     WholePacket,
     /// Replica mode: every shard runs a full copy of the sketch state,
     /// so *any* deterministic steering is state-safe. Packets are dealt
@@ -265,16 +238,13 @@ enum MergePlan {
     /// ([`ReplicaSpec::merge_states`]) — sum of displacements for
     /// counter rows, max for membership bits. Bit-identical to serial.
     Replicated(ReplicaSpec),
-    /// Explicit-field steering asserts nothing about state: no defined
-    /// partition, merged export unavailable.
-    Undefined,
 }
 
 /// The partitioning tier a [`ShardPlan`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardTier {
-    /// Keyed, whole-packet, or explicit-field steering: sharded per-shard
-    /// outputs and merged state are bit-identical to serial execution.
+    /// Keyed or whole-packet steering: sharded per-shard outputs and
+    /// merged state are bit-identical to serial execution.
     Exact,
     /// At least one pipeline runs full sketch replicas merged at collect
     /// time. Merged *state* is still bit-identical to serial; per-packet
@@ -358,34 +328,16 @@ impl ShardPlan {
     /// Resolves the steering rule for a pipeline pair and a requested
     /// shard count.
     ///
-    /// In [`SteerMode::Auto`], both pipelines' state indexing must be
-    /// partitionable (see
+    /// Both pipelines' state indexing must be partitionable (see
     /// [`StateLayout::flow_key`](domino_ir::layout::StateLayout::flow_key));
     /// when both carry keyed state the two keys must agree, and an
     /// egress-derived key must not depend on fields the ingress pipeline
-    /// (or the queue's metadata stamps, under their default names —
-    /// [`QUEUE_METADATA_FIELDS`](crate::switch::QUEUE_METADATA_FIELDS);
-    /// renamed metadata is outside this model) rewrites — the dispatcher
-    /// evaluates the key on the *input* packet. Any violation produces a
-    /// single-shard plan carrying the diagnostic.
-    pub fn plan(
-        ingress: &AtomPipeline,
-        egress: &AtomPipeline,
-        shards: usize,
-        mode: &SteerMode,
-    ) -> ShardPlan {
+    /// or the queue's metadata stamps
+    /// ([`QUEUE_METADATA_FIELDS`](crate::switch::QUEUE_METADATA_FIELDS))
+    /// rewrite — the dispatcher evaluates the key on the *input* packet.
+    /// Any violation produces a single-shard plan carrying the diagnostic.
+    pub fn plan(ingress: &AtomPipeline, egress: &AtomPipeline, shards: usize) -> ShardPlan {
         let requested = shards.max(1);
-        if let SteerMode::Fields(fields) = mode {
-            return ShardPlan {
-                requested,
-                effective: requested,
-                steer: ResolvedSteer::Fields(fields.clone()),
-                merge_ingress: MergePlan::Undefined,
-                merge_egress: MergePlan::Undefined,
-                fallback: None,
-            };
-        }
-
         let part_in = StateLayout::from_decls(&ingress.state_decls).flow_key(&stmts_of(ingress));
         let part_eg = StateLayout::from_decls(&egress.state_decls).flow_key(&stmts_of(egress));
 
@@ -567,8 +519,8 @@ impl ShardPlan {
 
     /// The shard the `idx`-th input packet steers to.
     ///
-    /// Keyed, field, and whole-packet modes are pure functions of the
-    /// packet content (`idx` is ignored); replica mode deals packets
+    /// Keyed and whole-packet modes are pure functions of the packet
+    /// content (`idx` is ignored); replica mode deals packets
     /// round-robin by trace index, which any replica merge tolerates
     /// (updates commute) and which stays load-balanced even on the
     /// heavy-tailed traces sketch programs are written for.
@@ -581,15 +533,7 @@ impl ShardPlan {
             ResolvedSteer::Single => 0,
             ResolvedSteer::Keyed(spec) => spec.shard_of(pkt, n),
             ResolvedSteer::Replica(_) => idx % n,
-            ResolvedSteer::Fields(fields) if !fields.is_empty() => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for f in fields {
-                    h = hash_str(h, f);
-                    h = mix64(h ^ pkt.get_or_zero(f) as u32 as u64);
-                }
-                (h % n as u64) as usize
-            }
-            ResolvedSteer::Fields(_) | ResolvedSteer::WholePacket => {
+            ResolvedSteer::WholePacket => {
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
                 for (name, value) in pkt.iter() {
                     h = hash_str(h, name);
@@ -617,7 +561,6 @@ impl fmt::Display for ShardPlan {
                     spec.modulus()
                 )
             }
-            ResolvedSteer::Fields(fields) => write!(f, ", hashing [{}]", fields.join(", ")),
             ResolvedSteer::WholePacket => write!(f, ", stateless whole-packet hashing"),
             ResolvedSteer::Replica(roots) if roots.is_empty() => {
                 write!(f, ", replicated sketches, dealt round-robin")
@@ -795,7 +738,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     where
         F: FnMut(usize, &AtomPipeline, &AtomPipeline, usize) -> Result<Switch<E>, SwitchError>,
     {
-        let plan = ShardPlan::plan(ingress, egress, config.shards, &config.steer);
+        let plan = ShardPlan::plan(ingress, egress, config.shards);
         let mut shards = Vec::with_capacity(plan.effective());
         for s in 0..plan.effective() {
             // The factory builds the engines; the configured scheduling
@@ -868,9 +811,9 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// shard in cyclic order. Per-flow order is preserved for flows as
     /// the steering key defines them (such a flow lives on one shard and
     /// shard order is kept — under whole-packet steering that means
-    /// identical packets; use [`SteerMode::Fields`] for coarser flows;
-    /// replica mode deals by trace index, so its "flows" are the index
-    /// residue classes); the cross-flow interleave is a pure function of
+    /// identical packets; replica mode deals by trace index, so its
+    /// "flows" are the index residue classes); the cross-flow interleave
+    /// is a pure function of
     /// the seed and shard count, so repeated runs are bit-identical
     /// regardless of thread scheduling.
     pub fn merge(&self, parts: Vec<Vec<Packet>>) -> Vec<Packet> {
@@ -1240,7 +1183,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let tail = match self.sched_tail.take() {
             Some(tail) => tail,
             // Unbounded: it only re-orders what the shards admitted.
-            None => self.rebuild(usize::MAX)?.with_metadata_of(&self.shards[0]),
+            None => self.rebuild(usize::MAX)?,
         };
         let tail = self.sched_tail.insert(tail);
         tail.requeue(entries);
@@ -1404,10 +1347,10 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// Reconstructs the serial switch's ingress state from the shards:
     /// every array slot is read from the shard that owns its key class.
     ///
-    /// Available when steering is key-derived (or trivially with one
-    /// shard / stateless pipelines); explicit-field steering defines no
-    /// state partition and returns
-    /// [`SwitchError::StatePartition`].
+    /// Under replica mode the shards' full copies are folded instead (see
+    /// [`ReplicaSpec::merge_states`]). Every plan defines how its state
+    /// merges, so no error path remains; the `Result` is kept so callers
+    /// need not change.
     pub fn export_merged_ingress_state(&self) -> Result<StateStore, SwitchError> {
         self.merged_state(
             &self.plan.merge_ingress,
@@ -1438,11 +1381,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             // A trivial side writes no state: all shards still hold the
             // declared initializers, as does the serial switch.
             MergePlan::Trivial => Ok(export(&self.shards[0])),
-            MergePlan::Undefined => Err(SwitchError::StatePartition(
-                "steering by explicit fields does not define a state partition; \
-                 read per-shard snapshots via export_shard_states"
-                    .to_string(),
-            )),
             MergePlan::Owned(spec) => {
                 let snaps: Vec<StateStore> = self.shards.iter().map(&export).collect();
                 let mut merged = StateStore::from_decls(decls);
@@ -1938,7 +1876,7 @@ mod tests {
     #[test]
     fn plan_extracts_flow_key_from_array_counter() {
         let p = array_counter("count", "counts", 64);
-        let plan = ShardPlan::plan(&p, &passthrough("out"), 4, &SteerMode::Auto);
+        let plan = ShardPlan::plan(&p, &passthrough("out"), 4);
         assert_eq!(plan.effective(), 4);
         assert!(plan.fallback().is_none());
         let spec = plan.flow_key().expect("keyed");
@@ -1949,7 +1887,7 @@ mod tests {
 
     #[test]
     fn plan_falls_back_on_scalar_state_with_diagnostic() {
-        let plan = ShardPlan::plan(&scalar_counter(), &passthrough("out"), 8, &SteerMode::Auto);
+        let plan = ShardPlan::plan(&scalar_counter(), &passthrough("out"), 8);
         assert_eq!(plan.requested(), 8);
         assert_eq!(plan.effective(), 1);
         let why = plan.fallback().expect("diagnostic");
@@ -1975,7 +1913,7 @@ mod tests {
                 }
             }
         }
-        let plan = ShardPlan::plan(&ingress, &egress, 4, &SteerMode::Auto);
+        let plan = ShardPlan::plan(&ingress, &egress, 4);
         assert_eq!(plan.effective(), 1);
         assert!(
             plan.fallback().unwrap().contains("different flow keys"),
@@ -2211,22 +2149,5 @@ mod tests {
         assert_eq!(report.salvage.iter().map(|s| s.offered).sum::<u64>(), 40);
         assert_eq!(report.accounting.offered, 40);
         assert!(report.accounting.conserved(), "{}", report.accounting);
-    }
-
-    #[test]
-    fn explicit_field_steering_declines_merged_state() {
-        let ingress = array_counter("count", "counts", 64);
-        let mut sharded = ShardedSwitch::new_slot(
-            &ingress,
-            &passthrough("out"),
-            ShardConfig::new(2).with_steer(SteerMode::Fields(vec!["flow".into()])),
-        )
-        .unwrap();
-        sharded.run(&flow_trace(50)).collect().unwrap();
-        assert!(matches!(
-            sharded.export_merged_ingress_state(),
-            Err(SwitchError::StatePartition(_))
-        ));
-        assert_eq!(sharded.export_shard_states().len(), 2);
     }
 }

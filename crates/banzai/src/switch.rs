@@ -5,10 +5,10 @@
 //! Table 4 assigns each algorithm to one of the two pipelines (flowlet
 //! routing decisions happen at ingress; RCP/HULL/CoDel queue measurements
 //! at egress, where sojourn times are known). Both pipelines are ordinary
-//! Banzai machines; the queue between them is modeled as a bounded FIFO
-//! whose occupancy and sojourn timestamps are exposed to egress programs
-//! as packet metadata — exactly the metadata real switch schedulers
-//! provide.
+//! Banzai machines; the queue between them is one bounded PIFO (a
+//! drop-tail FIFO by default, see [`crate::pifo`]) whose occupancy and
+//! sojourn timestamps are exposed to egress programs as packet metadata —
+//! exactly the metadata real switch schedulers provide.
 //!
 //! The switch is generic over its [`PipelineEngine`]: the map-based
 //! reference [`Machine`] (the default) or the slot-compiled
@@ -17,7 +17,7 @@
 
 use crate::error::{FaultReport, ShardSalvage, SourceFault, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
-use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
+use crate::pifo::{Pifo, SchedKey, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
@@ -108,7 +108,7 @@ pub enum DropReason {
     /// overload loss upstream of any per-shard queue.
     Backpressure,
     /// The packet parsed and cleared ingress, but the **programmed
-    /// scheduler** ([`crate::pifo`]: PIFO, shaping, or hierarchy — any
+    /// scheduler** ([`crate::pifo`]: rank, shaping, or strict priority — any
     /// non-FIFO [`SchedSpec`]) was at capacity — a congestion loss on a
     /// rank-ordered queue, split from [`DropReason::QueueFull`] so a
     /// drowning scheduler is distinguishable from a drowning drop-tail
@@ -262,14 +262,12 @@ pub struct SchedDeparture {
 }
 
 /// The metadata fields the queue stamps on every packet handed to the
-/// egress pipeline, under their default names: enqueue timestamp, dequeue
-/// time, and queue depth. [`Switch::with_metadata_fields`] can rename the
-/// first and last; sharding's flow-key analysis treats this set as
-/// ingress-written (see `crate::shard`), so renamed metadata is outside
-/// the shard planner's model.
+/// egress pipeline: enqueue timestamp, dequeue time, and queue depth.
+/// The names are fixed, so sharding's flow-key analysis can treat exactly
+/// this set as written before egress (see `crate::shard`).
 pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 
-/// A switch: ingress pipeline, a bounded FIFO queue, egress pipeline.
+/// A switch: ingress pipeline, a bounded PIFO queue, egress pipeline.
 ///
 /// # Panic freedom
 ///
@@ -285,15 +283,14 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,
     egress: E,
-    /// The queue between the pipelines, running the discipline `sched`
-    /// selected (drop-tail FIFO by default). Every run queues here,
-    /// byte-born packets ([`Switch::run_frames`]) with their
-    /// [`WireLayout`].
-    queue: SchedQueue<Queued>,
-    /// The scheduling policy `queue` was built from (see
+    /// The queue between the pipelines, ordered by the keys `sched`
+    /// computes (one key for all, i.e. drop-tail FIFO, by default). Every
+    /// run queues here, byte-born packets ([`Switch::run_frames`]) with
+    /// their [`WireLayout`].
+    queue: Pifo<Queued>,
+    /// The scheduling policy: keys, shaping gate and drop reason (see
     /// [`Switch::with_scheduler`]).
     sched: SchedSpec,
-    capacity: usize,
     /// Cycles taken to transmit one packet from the queue (≥1): values
     /// above 1 create standing queues under load, which is what egress
     /// AQM algorithms exist to observe.
@@ -301,9 +298,6 @@ pub struct Switch<E: PipelineEngine = Machine> {
     now: i64,
     drops: DropCounters,
     transmitted: u64,
-    /// Metadata field names written for egress programs.
-    enqueue_ts_field: String,
-    depth_field: String,
 }
 
 impl Switch<Machine> {
@@ -347,15 +341,12 @@ impl<E: PipelineEngine> Switch<E> {
         Switch {
             ingress,
             egress,
-            queue: SchedSpec::Fifo.build_queue(capacity),
+            queue: Pifo::bounded(capacity),
             sched: SchedSpec::Fifo,
-            capacity,
             drain_period: 1,
             now: 0,
             drops: DropCounters::new(),
             transmitted: 0,
-            enqueue_ts_field: QUEUE_METADATA_FIELDS[0].to_string(),
-            depth_field: QUEUE_METADATA_FIELDS[2].to_string(),
         }
     }
 
@@ -367,7 +358,7 @@ impl<E: PipelineEngine> Switch<E> {
     }
 
     /// Replaces the queue's discipline (default: drop-tail FIFO) with the
-    /// given [`SchedSpec`] — a PIFO, shaper, or strict-priority hierarchy
+    /// given [`SchedSpec`] — a PIFO, shaper, or strict-priority order
     /// whose rank fields an ingress Domino program writes. Call before
     /// running traffic; any queued packets are discarded.
     ///
@@ -401,20 +392,13 @@ impl<E: PipelineEngine> Switch<E> {
     /// builder step uses it): replaces the queue's discipline, discarding
     /// any queued packets.
     pub fn set_scheduler(&mut self, spec: SchedSpec) {
-        self.queue = spec.build_queue(self.capacity);
+        self.queue = Pifo::bounded(self.queue.capacity());
         self.sched = spec;
     }
 
     /// The scheduling policy the queue runs.
     pub fn scheduler(&self) -> &SchedSpec {
         &self.sched
-    }
-
-    /// Renames the metadata fields exposed to egress programs.
-    pub fn with_metadata_fields(mut self, enqueue_ts: &str, depth: &str) -> Switch<E> {
-        self.enqueue_ts_field = enqueue_ts.to_string();
-        self.depth_field = depth.to_string();
-        self
     }
 
     /// Total packets dropped so far, for any reason (the sum over
@@ -517,7 +501,7 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// The queue's capacity (packets beyond this are dropped at enqueue).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.queue.capacity()
     }
 
     /// Snapshot of the ingress engine's persistent state.
@@ -625,7 +609,8 @@ impl<E: PipelineEngine> Switch<E> {
             }
             let processed = self.ingress.process(pkt);
             let key = self.sched.key_of(&processed);
-            let full = drain == Drain::Burst && t >= self.capacity as i64;
+            // Compared unsigned: `capacity` may be `usize::MAX`.
+            let full = drain == Drain::Burst && t as u64 >= self.capacity() as u64;
             if full || self.queue.push(key, (t, processed, layout)).is_err() {
                 self.drops.bump(self.sched.full_drop_reason());
             }
@@ -692,19 +677,20 @@ impl<E: PipelineEngine> Switch<E> {
         sent
     }
 
-    /// Stamps the queue metadata on a departing packet (`enq_ts` = its
-    /// arrival cycle, `now` = the departure cycle, `qdepth` = packets
-    /// still queued, under the configured names), runs egress, and hands
-    /// the result on.
+    /// Stamps the [`QUEUE_METADATA_FIELDS`] on a departing packet
+    /// (`enq_ts` = its arrival cycle, `now` = the departure cycle,
+    /// `qdepth` = packets still queued), runs egress, and hands the
+    /// result on.
     fn depart(
         &mut self,
         key: SchedKey,
         (arrival, mut pkt, layout): Queued,
         emit: &mut dyn FnMut(SchedDeparture, Option<Box<WireLayout>>),
     ) {
-        pkt.set(&self.enqueue_ts_field, arrival as i32);
-        pkt.set("now", self.now as i32);
-        pkt.set(&self.depth_field, self.queue.len() as i32);
+        let [enq_ts, now, qdepth] = QUEUE_METADATA_FIELDS;
+        pkt.set(enq_ts, arrival as i32);
+        pkt.set(now, self.now as i32);
+        pkt.set(qdepth, self.queue.len() as i32);
         let pkt = self.egress.process(pkt);
         self.transmitted += 1;
         let departure = SchedDeparture {
@@ -736,11 +722,6 @@ impl<E: PipelineEngine> Switch<E> {
                 self.drops.bump(self.sched.full_drop_reason());
             }
         }
-    }
-
-    /// Copies another switch's metadata field names.
-    pub(crate) fn with_metadata_of(self, other: &Switch<E>) -> Switch<E> {
-        self.with_metadata_fields(&other.enqueue_ts_field, &other.depth_field)
     }
 
     /// Bumps a drop counter directly (a frame the sharded dispatcher
@@ -956,9 +937,9 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// Each input packet is processed by ingress and enqueued (or dropped
     /// if the queue is full); the queue drains one packet every
     /// `drain_period` cycles through egress. One input packet arrives per
-    /// cycle (the line-rate assumption); `enq_ts`/`qdepth` metadata (or
-    /// the configured names) and the dequeue time `now` are stamped at
-    /// departure, so egress programs can compute sojourn times.
+    /// cycle (the line-rate assumption); `enq_ts`/`qdepth` metadata and
+    /// the dequeue time `now` are stamped at departure, so egress
+    /// programs can compute sojourn times.
     ///
     /// # Errors
     ///

@@ -70,11 +70,11 @@
 //! ```
 
 use bench::throughput::{
-    chaos_suite, check_regressions, check_scaling_regressions, check_sched_regressions,
-    machine_workload, parse_baseline, parse_scaling_baseline, parse_sched_baseline, render_json,
-    scaling_speedup, sched_workload, shard_sweep, stream_workload, switch_workload, wire_stress,
-    wire_workload, ChaosOutcome, Measurement, SchedMeasurement, ShardMeasurement,
-    StreamMeasurement, SCHED_DISCIPLINES,
+    chaos_suite, check_regressions, check_scaling_regressions, machine_workload, parse_baseline,
+    parse_scaling_baseline, render_json, scaling_speedup, sched_workload, shard_sweep,
+    stream_workload, switch_workload, wire_stress, wire_workload, ChaosOutcome, Measurement,
+    SchedMeasurement, ShardMeasurement, StreamMeasurement, SCHED_DISCIPLINES, SCHED_KEY,
+    WORKLOAD_KEY,
 };
 use std::process::ExitCode;
 
@@ -469,7 +469,7 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(baseline_path) = check {
         let baseline_doc = std::fs::read_to_string(&baseline_path)
             .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-        let baseline = parse_baseline(&baseline_doc);
+        let baseline = parse_baseline(&baseline_doc, WORKLOAD_KEY);
         if baseline.is_empty() {
             return Err(format!(
                 "baseline `{baseline_path}` has no workload rows — wrong file?"
@@ -477,7 +477,11 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         let scaling_tolerance = scaling_tolerance.unwrap_or(tolerance);
         let sched_tolerance = sched_tolerance.unwrap_or(tolerance);
-        let mut failures = check_regressions(&measurements, &baseline, tolerance);
+        let fresh: Vec<(&str, f64)> = measurements
+            .iter()
+            .map(|m| (m.name.as_str(), m.speedup()))
+            .collect();
+        let mut failures = check_regressions(WORKLOAD_KEY, &fresh, &baseline, tolerance);
         let scaling_baseline = parse_scaling_baseline(&baseline_doc);
         failures.extend(check_scaling_regressions(
             &scaling,
@@ -487,9 +491,14 @@ fn run(args: &[String]) -> Result<(), String> {
         // Committed sched rows gate even when --sched was forgotten: a
         // fresh run without them trips the missing-row check, same as
         // dropping a workload from the other sections.
-        let sched_baseline = parse_sched_baseline(&baseline_doc);
-        failures.extend(check_sched_regressions(
-            &sched,
+        let sched_baseline = parse_baseline(&baseline_doc, SCHED_KEY);
+        let fresh_sched: Vec<(&str, f64)> = sched
+            .iter()
+            .map(|m| (m.sched.as_str(), m.speedup()))
+            .collect();
+        failures.extend(check_regressions(
+            SCHED_KEY,
+            &fresh_sched,
             &sched_baseline,
             sched_tolerance,
         ));
@@ -530,7 +539,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         for m in &sched {
-            if let Some(b) = sched_baseline.iter().find(|b| b.sched == m.sched) {
+            if let Some(b) = sched_baseline.iter().find(|b| b.name == m.sched) {
                 println!(
                     "  sched/{:<10} fresh {:>6.2}x  committed {:>6.2}x  floor {:>6.2}x",
                     m.sched,

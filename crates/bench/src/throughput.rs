@@ -34,8 +34,8 @@
 //!   (bit-identical to serial), and checked against its scheduling
 //!   invariant (fairness bound / priority exactness / pacing) before the
 //!   timing is recorded. Rows land in the JSON under the `sched` key and
-//!   are gated by [`parse_sched_baseline`] /
-//!   [`check_sched_regressions`].
+//!   are gated by [`parse_baseline`] / [`check_regressions`] under
+//!   [`SCHED_KEY`].
 //! * **E10 — the shard-scaling sweep** ([`shard_sweep`]): the flowlet,
 //!   heavy-hitters, and bloom-filter traces through a [`ShardedSwitch`]
 //!   at 1/2/4/8 shards. Every configuration is verified against the
@@ -1480,28 +1480,38 @@ pub fn scaling_speedup(rows: &[ShardMeasurement], row: &ShardMeasurement) -> Opt
     Some(base.critical_ns() as f64 / row.critical_ns().max(1) as f64)
 }
 
-/// One parsed row of a committed `BENCH_throughput.json` — just the
-/// fields the regression gate compares.
+/// Row key of the E9 engine-speedup workload rows.
+pub const WORKLOAD_KEY: &str = "name";
+
+/// Row key of the E13 scheduling rows.
+pub const SCHED_KEY: &str = "sched";
+
+/// One parsed speedup row of a committed `BENCH_throughput.json` — just
+/// the fields the speedup gate compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineRow {
-    /// Workload name.
+    /// The row's name under its key (a workload or a discipline).
     pub name: String,
     /// Committed slot-over-map speedup.
     pub speedup: f64,
 }
 
-/// Extracts `(name, speedup)` pairs from a committed baseline document.
+/// Extracts the `(name, speedup)` rows keyed `key` ([`WORKLOAD_KEY`] or
+/// [`SCHED_KEY`]) from a committed baseline document.
 ///
 /// A deliberately minimal line scanner, not a JSON parser: the document
-/// is emitted by [`render_json`] with one key per line, and the E10
-/// scaling rows use the key `workload` (not `name`), so only E9 workload
-/// rows match.
-pub fn parse_baseline(doc: &str) -> Vec<BaselineRow> {
+/// is emitted by [`render_json`] with one key per line, and a row is
+/// emitted when a `speedup` line arrives with a pending name under
+/// `key`. E9 rows pair their speedup with `name`, E13 rows with `sched`,
+/// and the E10 scaling and E12 chaos rows use `workload`/`scenario`, so
+/// each key sees only its own section.
+pub fn parse_baseline(doc: &str, key: &str) -> Vec<BaselineRow> {
+    let name_prefix = format!("\"{key}\": \"");
     let mut rows = Vec::new();
     let mut name: Option<String> = None;
     for line in doc.lines() {
         let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("\"name\": \"") {
+        if let Some(rest) = t.strip_prefix(name_prefix.as_str()) {
             name = rest.strip_suffix('"').map(str::to_string);
         } else if let Some(rest) = t.strip_prefix("\"speedup\": ") {
             if let (Some(n), Ok(v)) = (name.take(), rest.parse::<f64>()) {
@@ -1515,43 +1525,45 @@ pub fn parse_baseline(doc: &str) -> Vec<BaselineRow> {
     rows
 }
 
-/// The CI perf-regression gate: every workload in the committed baseline
-/// must be present in the fresh run and keep at least `tolerance` × its
-/// committed slot speedup. Returns one message per violation (empty =
-/// gate passes). Iterating the *baseline* means a workload cannot be
-/// silently un-gated by renaming or dropping it from the harness; fresh
-/// workloads not yet in the baseline are not gated. Speedups are
-/// host-relative ratios, so the gate is meaningful across runner
-/// hardware; `tolerance` absorbs measurement noise.
+/// The CI speedup gate for the rows keyed `key`: every row in the
+/// committed baseline must be present in the fresh `(name, speedup)`
+/// pairs and keep at least `tolerance` × its committed slot speedup.
+/// Returns one message per violation (empty = gate passes), each
+/// prefixed with the row's name (`sched/<name>` for scheduling rows).
+/// Iterating the *baseline* means a row cannot be silently un-gated by
+/// renaming or dropping it from the harness; fresh rows not yet in the
+/// baseline are not gated. Speedups are host-relative ratios, so the
+/// gate is meaningful across runner hardware; `tolerance` absorbs
+/// measurement noise.
 pub fn check_regressions(
-    fresh: &[Measurement],
+    key: &str,
+    fresh: &[(&str, f64)],
     baseline: &[BaselineRow],
     tolerance: f64,
 ) -> Vec<String> {
     baseline
         .iter()
         .filter_map(|base| {
-            let Some(m) = fresh.iter().find(|m| m.name == base.name) else {
+            let label = if key == WORKLOAD_KEY {
+                base.name.clone()
+            } else {
+                format!("{key}/{}", base.name)
+            };
+            let Some(&(_, speedup)) = fresh.iter().find(|(name, _)| *name == base.name) else {
                 return Some(format!(
-                    "{}: workload is in the committed baseline but missing from \
+                    "{label}: row is in the committed baseline but missing from \
                      the fresh run — renamed or dropped? (update the baseline \
-                     deliberately instead)",
-                    base.name
+                     deliberately instead)"
                 ));
             };
             let floor = base.speedup * tolerance;
-            if m.speedup() < floor {
-                Some(format!(
-                    "{}: slot speedup {:.2}x regressed below {:.2}x \
+            (speedup < floor).then(|| {
+                format!(
+                    "{label}: slot speedup {speedup:.2}x regressed below {floor:.2}x \
                      (tolerance {tolerance} x committed {:.2}x)",
-                    m.name,
-                    m.speedup(),
-                    floor,
                     base.speedup
-                ))
-            } else {
-                None
-            }
+                )
+            })
         })
         .collect()
 }
@@ -1673,81 +1685,6 @@ pub fn check_scaling_regressions(
         .collect()
 }
 
-/// One parsed E13 scheduling row of a committed `BENCH_throughput.json` —
-/// the fields the sched regression gate compares.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedBaselineRow {
-    /// Discipline name.
-    pub sched: String,
-    /// Committed slot-over-map speedup for the scheduling run.
-    pub speedup: f64,
-}
-
-/// Extracts the E13 scheduling rows from a committed baseline document.
-///
-/// The same deliberately minimal line scanner as [`parse_baseline`]: only
-/// sched rows carry the `sched` key, and a row is emitted when its
-/// `speedup` line arrives with a pending `sched` name — E9 workload rows
-/// pair their `speedup` with `name` instead, so neither scanner sees the
-/// other's rows.
-pub fn parse_sched_baseline(doc: &str) -> Vec<SchedBaselineRow> {
-    let mut rows = Vec::new();
-    let mut sched: Option<String> = None;
-    for line in doc.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("\"sched\": \"") {
-            sched = rest.strip_suffix('"').map(str::to_string);
-        } else if let Some(rest) = t.strip_prefix("\"speedup\": ") {
-            if let (Some(s), Ok(v)) = (sched.take(), rest.parse::<f64>()) {
-                rows.push(SchedBaselineRow {
-                    sched: s,
-                    speedup: v,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// The E13 half of the CI gate: every scheduling discipline in the
-/// committed baseline must be present in the fresh run and keep at least
-/// `tolerance` × its committed slot speedup. Returns one message per
-/// violation (empty = gate passes). Like [`check_regressions`], iterating
-/// the baseline means a discipline cannot be silently un-gated by
-/// dropping it from the harness.
-pub fn check_sched_regressions(
-    fresh: &[SchedMeasurement],
-    baseline: &[SchedBaselineRow],
-    tolerance: f64,
-) -> Vec<String> {
-    baseline
-        .iter()
-        .filter_map(|base| {
-            let Some(m) = fresh.iter().find(|m| m.sched == base.sched) else {
-                return Some(format!(
-                    "sched/{}: discipline is in the committed baseline but missing \
-                     from the fresh run — renamed or dropped? (update the baseline \
-                     deliberately instead)",
-                    base.sched
-                ));
-            };
-            let floor = base.speedup * tolerance;
-            if m.speedup() < floor {
-                Some(format!(
-                    "sched/{}: slot speedup {:.2}x regressed below {:.2}x \
-                     (tolerance {tolerance} x committed {:.2}x)",
-                    m.sched,
-                    m.speedup(),
-                    floor,
-                    base.speedup
-                ))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 /// Renders the measurements as the machine-readable `BENCH_throughput.json`
 /// document (hand-rolled: the build environment is offline, no serde).
 ///
@@ -1759,7 +1696,8 @@ pub fn check_sched_regressions(
 /// `chaos` section (E12, keyed `scenario` — deliberately *not* `name`, so
 /// the baseline scanner skips it) records the fault-injection outcomes.
 /// The `sched` section (E13, keyed `sched`) records the scheduling
-/// disciplines and is what [`parse_sched_baseline`] reads back. The
+/// disciplines and is what [`parse_baseline`] reads back under
+/// [`SCHED_KEY`]. The
 /// `stream` section (E14, keyed `mode`) records the bounded-memory
 /// streaming runs with their peak-RSS growth; no scanner reads it back —
 /// its gate is the hard RSS assertion in the binary, not a speedup ratio.
@@ -2133,7 +2071,7 @@ mod tests {
             map_ns: 90,
             slot_ns: 30,
         }];
-        let parsed = parse_baseline(&render_json(&ms, &[], &chaos, &sched, &[], 1));
+        let parsed = parse_baseline(&render_json(&ms, &[], &chaos, &sched, &[], 1), WORKLOAD_KEY);
         assert_eq!(
             parsed,
             vec![
@@ -2161,14 +2099,22 @@ mod tests {
             map_ns: 110,
             slot_ns: 10, // 11x ≥ 0.5 × 20x
         };
-        assert!(check_regressions(&[fresh_ok], &baseline, 0.5).is_empty());
+        let gate = |m: &Measurement| {
+            check_regressions(
+                WORKLOAD_KEY,
+                &[(m.name.as_str(), m.speedup())],
+                &baseline,
+                0.5,
+            )
+        };
+        assert!(gate(&fresh_ok).is_empty());
         let fresh_bad = Measurement {
             name: "flowlet".into(),
             packets: 10,
             map_ns: 90,
             slot_ns: 10, // 9x < 0.5 × 20x
         };
-        let failures = check_regressions(&[fresh_bad], &baseline, 0.5);
+        let failures = gate(&fresh_bad);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("regressed"), "{}", failures[0]);
         // Workloads absent from the baseline are not gated…
@@ -2178,7 +2124,7 @@ mod tests {
             map_ns: 10,
             slot_ns: 10,
         };
-        let failures = check_regressions(&[fresh_new], &baseline, 0.5);
+        let failures = gate(&fresh_new);
         // …but a baseline workload missing from the fresh run trips the
         // gate: dropping/renaming a workload cannot silently un-gate it.
         assert_eq!(failures.len(), 1);
@@ -2350,30 +2296,37 @@ mod tests {
             slot_ns: 10,
         }];
         let doc = render_json(&ms, &[], &[], &sched, &[], 1);
-        let parsed = parse_sched_baseline(&doc);
+        let parsed = parse_baseline(&doc, SCHED_KEY);
         assert_eq!(
             parsed,
             vec![
-                SchedBaselineRow {
-                    sched: "wfq".into(),
+                BaselineRow {
+                    name: "wfq".into(),
                     speedup: 10.0
                 },
-                SchedBaselineRow {
-                    sched: "shaping".into(),
+                BaselineRow {
+                    name: "shaping".into(),
                     speedup: 1.5
                 },
             ]
         );
         // The E9 scanner still sees exactly its own row.
-        assert_eq!(parse_baseline(&doc).len(), 1);
+        assert_eq!(parse_baseline(&doc, WORKLOAD_KEY).len(), 1);
     }
 
     #[test]
     fn sched_gate_trips_only_below_tolerance() {
-        let baseline = vec![SchedBaselineRow {
-            sched: "wfq".into(),
+        let baseline = vec![BaselineRow {
+            name: "wfq".into(),
             speedup: 8.0,
         }];
+        let gate = |fresh: &[SchedMeasurement]| {
+            let rows: Vec<(&str, f64)> = fresh
+                .iter()
+                .map(|m| (m.sched.as_str(), m.speedup()))
+                .collect();
+            check_regressions(SCHED_KEY, &rows, &baseline, 0.5)
+        };
         let fresh_ok = SchedMeasurement {
             sched: "wfq".into(),
             packets: 10,
@@ -2381,7 +2334,7 @@ mod tests {
             map_ns: 50,
             slot_ns: 10, // 5x ≥ 0.5 × 8x
         };
-        assert!(check_sched_regressions(&[fresh_ok], &baseline, 0.5).is_empty());
+        assert!(gate(&[fresh_ok]).is_empty());
         let fresh_bad = SchedMeasurement {
             sched: "wfq".into(),
             packets: 10,
@@ -2389,11 +2342,11 @@ mod tests {
             map_ns: 30,
             slot_ns: 10, // 3x < 0.5 × 8x
         };
-        let failures = check_sched_regressions(&[fresh_bad], &baseline, 0.5);
+        let failures = gate(&[fresh_bad]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("regressed"), "{}", failures[0]);
         // A committed discipline missing from the fresh run trips.
-        let failures = check_sched_regressions(&[], &baseline, 0.5);
+        let failures = gate(&[]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("missing"), "{}", failures[0]);
     }

@@ -19,7 +19,10 @@
 //! * **conservation under `SchedFull` pressure**: a rank scheduler at
 //!   capacity `c` admits exactly `min(n, c)` of an `n`-packet burst and
 //!   books the rest under the pinned `sched_full` reason, with
-//!   `offered == transmitted + dropped` in every configuration.
+//!   `offered == transmitted + dropped` in every configuration;
+//! * **the FIFO contract**: under `SchedSpec::Fifo` the switch's PIFO
+//!   ignores whatever ranks the packets carry, departs a burst in arrival
+//!   order, and books overflow under `queue_full`.
 
 use banzai::{
     deparse, encode, parse, AtomKind, AtomPipeline, DropReason, FrameSpec, Pifo, SchedKey,
@@ -283,5 +286,40 @@ proptest! {
         prop_assert_eq!(frame_born.transmitted(), packet_born.transmitted());
         prop_assert_eq!(frame_born.export_ingress_state(), packet_born.export_ingress_state());
         prop_assert_eq!(frame_born.export_egress_state(), packet_born.export_egress_state());
+    }
+
+    /// FIFO is the switch's PIFO under one constant key: a burst whose
+    /// packets carry arbitrary values in a field named `rank` departs in
+    /// arrival order, one per cycle from the burst's end. The first
+    /// `capacity` packets are admitted; the rest are booked as
+    /// `QueueFull`, never `SchedFull`.
+    #[test]
+    fn fifo_burst_departs_in_arrival_order_whatever_the_ranks(
+        ranks in proptest::collection::vec(any::<i32>(), 0..120),
+        capacity in 0..=130usize,
+    ) {
+        let mut sw = Switch::new(
+            AtomPipeline::passthrough("in"),
+            AtomPipeline::passthrough("out"),
+            capacity,
+        );
+        let trace: Vec<Packet> = ranks.iter().map(|&r| Packet::new().with("rank", r)).collect();
+        let deps = sw
+            .run(&trace)
+            .sched(SchedSpec::Fifo)
+            .collect()
+            .expect("slice-backed sources cannot fail mid-stream");
+
+        let n = trace.len();
+        let admitted = n.min(capacity);
+        let arrivals: Vec<i64> = deps.iter().map(|d| d.arrival).collect();
+        prop_assert_eq!(arrivals, (0..admitted as i64).collect::<Vec<_>>());
+        for (i, d) in deps.iter().enumerate() {
+            prop_assert_eq!(d.departure, (n + i) as i64);
+            prop_assert_eq!(d.pkt.get("rank"), Some(ranks[i]));
+        }
+        let counters = sw.drop_counters();
+        prop_assert_eq!(counters.get(DropReason::QueueFull), (n - admitted) as u64);
+        prop_assert_eq!(counters.get(DropReason::SchedFull), 0);
     }
 }

@@ -16,9 +16,10 @@
 //! * **shaping departure times** — the token-bucket pacer's
 //!   earliest-departure ranks are enforced as actual departure *cycles*,
 //!   pinned exactly;
-//! * **hierarchical composition** — the priority-over-WFQ PIFO tree
-//!   equals the flat `(class, rank, arrival)` stable-sort oracle, with
-//!   overflow counted under the pinned `sched_full` reason.
+//! * **hierarchical composition** — priority over per-class WFQ (what a
+//!   PIFO tree would compute) equals the flat `(class, rank, arrival)`
+//!   stable-sort oracle, with overflow counted under the pinned
+//!   `sched_full` reason.
 //!
 //! Like `tests/drop_reasons.rs`, pinned vectors are append-only: a
 //! failure here means the scheduler's exported behaviour moved.
@@ -262,7 +263,7 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     );
 
     // Burst admission is by occupancy: exactly the first CAPACITY
-    // arrivals enter the PIFO tree; the rest drop under sched_full.
+    // arrivals enter the PIFO; the rest drop under sched_full.
     assert_eq!(deps.len(), CAPACITY);
     let admitted: Vec<i64> = {
         let mut v: Vec<i64> = deps.iter().map(|d| d.arrival).collect();
@@ -271,11 +272,12 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     };
     assert_eq!(admitted, (0..CAPACITY as i64).collect::<Vec<_>>());
 
-    // Oracle: the hierarchical PIFO (root over classes, WFQ leaves)
-    // must equal a flat stable sort of the admitted prefix by
-    // (class, rank, arrival). Ranks are what the transaction computes,
-    // so replay the ingress program over the admitted prefix (state
-    // evolution depends only on the arrival-order prefix).
+    // Oracle: priority over per-class WFQ (the order of a PIFO tree
+    // with a root over classes and WFQ leaves) must equal a flat stable
+    // sort of the admitted prefix by (class, rank, arrival). Ranks are
+    // what the transaction computes, so replay the ingress program over
+    // the admitted prefix (state evolution depends only on the
+    // arrival-order prefix).
     let mut replay = banzai::Machine::new(stfq_pipeline());
     let mut oracle: Vec<(i64, i64, i64)> = trace[..CAPACITY]
         .iter()
@@ -290,7 +292,7 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
         .iter()
         .map(|d| (d.key.class, d.key.rank, d.arrival))
         .collect();
-    assert_eq!(got, oracle, "PIFO-of-PIFOs != flat composite-key sort");
+    assert_eq!(got, oracle, "priority over WFQ != flat composite-key sort");
 
     // The overflow is typed: sched_full, not queue_full.
     let mut serial = Switch::new_slot(&stfq_pipeline(), &sojourn_egress(), CAPACITY)
@@ -304,4 +306,48 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     assert_eq!(out.len(), CAPACITY);
     assert_eq!(serial.drop_counters().sched_full(), (N - CAPACITY) as u64);
     assert_eq!(serial.drop_counters().queue_full(), 0);
+}
+
+/// A capacity of `usize::MAX` — the value `Pifo::unbounded` uses for "no
+/// bound" — admits a whole burst, serial and sharded: the burst rule
+/// compares arrival cycles with the capacity without wrapping it
+/// negative.
+#[test]
+fn burst_admission_holds_at_the_largest_capacity() {
+    let ranks = [70, 20, 90, 10, 50, 30, 80, 0, 60, 40];
+    let trace: Vec<Packet> = ranks
+        .iter()
+        .map(|&r| Packet::new().with("rank", r))
+        .collect();
+    let spec = SchedSpec::Pifo {
+        rank: "rank".into(),
+    };
+    let (ingress, egress) = (
+        AtomPipeline::passthrough("in"),
+        AtomPipeline::passthrough("out"),
+    );
+
+    let mut serial = Switch::new(ingress.clone(), egress.clone(), usize::MAX);
+    let serial_out = serial
+        .run(&trace)
+        .sched(spec.clone())
+        .collect()
+        .expect("slice-backed sources cannot fail mid-stream");
+
+    let cfg = ShardConfig::new(2)
+        .with_capacity(usize::MAX)
+        .with_scheduler(spec);
+    let mut sharded = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+    assert_eq!(sharded.plan().effective(), 2);
+    let sharded_out = sharded.run(&trace).scheduled().collect().unwrap();
+
+    let in_rank_order: Vec<i64> = (0..10).map(|i| i * 10).collect();
+    for (label, deps, drops) in [
+        ("serial", &serial_out, serial.drops()),
+        ("2 shards", &sharded_out, sharded.drops()),
+    ] {
+        let order: Vec<i64> = deps.iter().map(|d| d.key.rank).collect();
+        assert_eq!(order, in_rank_order, "{label}: departures");
+        assert_eq!(drops, 0, "{label}: drops");
+    }
 }

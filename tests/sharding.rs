@@ -23,7 +23,7 @@
 //!   to a single shard with a two-tier diagnostic — and still match
 //!   serial exactly.
 
-use banzai::{AtomPipeline, ShardConfig, ShardTier, ShardedSwitch, SteerMode, Switch, Target};
+use banzai::{AtomPipeline, ShardConfig, ShardTier, ShardedSwitch, Switch, Target};
 use domino_ir::Packet;
 
 const TRACE_LEN: usize = 600;
@@ -306,31 +306,6 @@ fn merge_seed_only_permutes_across_flows() {
         outs[0], outs[1],
         "per-shard streams must be seed-independent"
     );
-}
-
-/// Explicit-field steering (the configurable key) shards stateless
-/// pipelines by the caller's flow definition.
-#[test]
-fn explicit_field_steering_preserves_per_flow_order() {
-    let ingress = AtomPipeline::passthrough("in");
-    let egress = AtomPipeline::passthrough("out");
-    let trace: Vec<Packet> = (0..300)
-        .map(|i| Packet::new().with("flow", i % 13).with("seq", i))
-        .collect();
-    let cfg = ShardConfig::new(4).with_steer(SteerMode::Fields(vec!["flow".into()]));
-    let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-    let merged = sw.run(&trace).collect().unwrap();
-    assert_eq!(merged.len(), 300);
-    for flow in 0..13 {
-        let seqs: Vec<i32> = merged
-            .iter()
-            .filter(|p| p.get("flow") == Some(flow))
-            .map(|p| p.get("seq").unwrap())
-            .collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted, "flow {flow} reordered");
-    }
 }
 
 /// The facade helper wires the whole stack together.
