@@ -56,6 +56,11 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
     let mut rng = StdRng::seed_from_u64(0x5eed_ca11);
     let n_vars = spec.num_vars();
 
+    // Every vector below sets every field, so one packet carrying all of
+    // them is overwritten in place (no per-vector packet or key
+    // allocation; the vectors are the same).
+    let mut pkt: Packet = fields.iter().map(|f| (f.clone(), 0)).collect();
+
     let check = |olds: &[i32], pkt: &Packet| -> Result<(), Counterexample> {
         for (i, update) in spec.updates.iter().enumerate() {
             let expected = update.eval(olds, pkt);
@@ -80,7 +85,6 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
             let mut olds: Vec<i32> = (0..n_vars)
                 .map(|i| interesting[(k + i) % interesting.len()])
                 .collect();
-            let mut pkt = Packet::new();
             for (j, f) in fields.iter().enumerate() {
                 pkt.set(f, interesting[(k + n_vars + j) % interesting.len()]);
             }
@@ -104,25 +108,23 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
     small.truncate(8);
     let grid_size = (small.len() as u64).checked_pow(slots as u32);
     if let Some(size) = grid_size.filter(|&s| s <= 65_536) {
+        let mut vals = Vec::with_capacity(slots);
         for mut idx in 0..size {
-            let mut vals = Vec::with_capacity(slots);
+            vals.clear();
             for _ in 0..slots {
                 vals.push(small[(idx % small.len() as u64) as usize]);
                 idx /= small.len() as u64;
             }
-            let olds = vals[..n_vars].to_vec();
-            let mut pkt = Packet::new();
             for (f, v) in fields.iter().zip(&vals[n_vars..]) {
                 pkt.set(f, *v);
             }
-            check(&olds, &pkt)?;
+            check(&vals[..n_vars], &pkt)?;
         }
     } else {
         for _ in 0..4096 {
             let olds: Vec<i32> = (0..n_vars)
                 .map(|_| small[rng.gen_range(0..small.len())])
                 .collect();
-            let mut pkt = Packet::new();
             for f in &fields {
                 pkt.set(f, small[rng.gen_range(0..small.len())]);
             }
@@ -133,7 +135,6 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
     // Random vectors.
     for _ in 0..RANDOM_VECTORS {
         let olds: Vec<i32> = (0..n_vars).map(|_| rng.gen()).collect();
-        let mut pkt = Packet::new();
         for f in &fields {
             pkt.set(f, rng.gen());
         }
@@ -141,7 +142,6 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
         // Also small-magnitude vectors, where most algorithm behaviour
         // (thresholds, counters) lives.
         let olds: Vec<i32> = (0..n_vars).map(|_| rng.gen_range(-64..64)).collect();
-        let mut pkt = Packet::new();
         for f in &fields {
             pkt.set(f, rng.gen_range(-64..64));
         }

@@ -76,7 +76,7 @@ pub use shard::{
     Backpressure, ShardConfig, ShardPlan, ShardRun, ShardTier, ShardTimings, ShardedFrameRun,
     ShardedRun, ShardedSchedRun, ShardedSwitch,
 };
-pub use slot::{SlotMachine, SlotPipeline};
+pub use slot::{SlotFlowKey, SlotMachine, SlotPipeline};
 pub use stream::{
     FailAfter, FrameGenSource, FrameSliceSource, FrameSource, GenSource, IntoFrameSource,
     IntoPacketSource, PacketSource, Rewind, RunStats, SliceSource, SourceError,

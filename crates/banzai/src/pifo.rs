@@ -31,7 +31,7 @@
 //! stable-sort oracle across random rank streams × capacities × tie
 //! patterns).
 
-use domino_ir::Packet;
+use domino_ir::{FieldId, FieldTable, FlatPacket, Packet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -241,6 +241,61 @@ impl SchedSpec {
     /// Whether pops are gated on the rank as an earliest-departure cycle.
     pub fn is_shaping(&self) -> bool {
         matches!(self, SchedSpec::Shaping { .. })
+    }
+
+    /// The packet fields the key reads.
+    pub(crate) fn fields(&self) -> Vec<&str> {
+        match self {
+            SchedSpec::Fifo => Vec::new(),
+            SchedSpec::Pifo { rank } | SchedSpec::Shaping { rank } => vec![rank],
+            SchedSpec::Priority { class, rank } => vec![class, rank],
+        }
+    }
+
+    /// Resolves the key's fields to their slots in `table`, which interns
+    /// every one of [`SchedSpec::fields`] (a switch's table does).
+    pub(crate) fn resolve(&self, table: &FieldTable) -> KeySlots {
+        let slot = |f: &str| {
+            table
+                .lookup(f)
+                .expect("a switch's table interns its scheduler's key fields")
+        };
+        match self {
+            SchedSpec::Fifo => KeySlots::Fifo,
+            SchedSpec::Pifo { rank } | SchedSpec::Shaping { rank } => KeySlots::Rank(slot(rank)),
+            SchedSpec::Priority { class, rank } => KeySlots::ClassRank {
+                class: slot(class),
+                rank: slot(rank),
+            },
+        }
+    }
+}
+
+/// A [`SchedSpec`]'s key fields resolved to slots of a switch's field
+/// table, so the per-packet key read is two slot loads at most.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeySlots {
+    /// The FIFO's constant key.
+    Fifo,
+    /// A rank field.
+    Rank(FieldId),
+    /// A class field and a rank field.
+    ClassRank { class: FieldId, rank: FieldId },
+}
+
+impl KeySlots {
+    /// The key of an (ingress-processed) flat packet; absent slots read 0,
+    /// like [`SchedSpec::key_of`]'s missing fields.
+    #[inline]
+    pub(crate) fn key_of(self, flat: &FlatPacket) -> SchedKey {
+        match self {
+            KeySlots::Fifo => SchedKey::rank(0),
+            KeySlots::Rank(rank) => SchedKey::rank(flat.get_or_zero(rank) as i64),
+            KeySlots::ClassRank { class, rank } => SchedKey {
+                class: flat.get_or_zero(class) as i64,
+                rank: flat.get_or_zero(rank) as i64,
+            },
+        }
     }
 }
 

@@ -73,22 +73,23 @@
 use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SourceFault, SwitchError};
 use crate::machine::AtomPipeline;
 use crate::pifo::{SchedKey, SchedSpec};
-use crate::slot::SlotMachine;
+use crate::slot::{SlotFlowKey, SlotMachine};
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    Arrival, Arrivals, Drain, DropCounters, DropReason, Frames, Packets, PipelineEngine, Queued,
-    SchedDeparture, Stamped, Switch,
+    Arrival, Arrivals, Drain, DropCounters, DropReason, Frames, Incoming, Packets, PipelineEngine,
+    Queued, SchedDeparture, Stamped, Switch,
 };
 use crate::wire::{self, WireConfig, WireLayout};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::{mix64, FlowKeySpec, Partitionability, ReplicaSpec, StateLayout};
-use domino_ir::{Packet, StateStore, TacStmt};
+use domino_ir::{FieldTable, Packet, StateStore, TacStmt};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for a [`ShardedSwitch`].
@@ -206,7 +207,9 @@ enum ResolvedSteer {
     /// Everything to shard 0 (the fallback).
     Single,
     /// Steer by the extracted flow key — bit-exact serial equivalence.
-    Keyed(FlowKeySpec),
+    /// The key slice is evaluated lowered onto slots; the spec's own
+    /// evaluator is the fallback should the slice not lower.
+    Keyed(FlowKeySpec, Option<SlotFlowKey>),
     /// Both pipelines are stateless: hash the whole packet. Only
     /// bit-identical packets are guaranteed to share a shard — a flow
     /// defined by a *subset* of fields may spread across shards, which
@@ -221,6 +224,12 @@ enum ResolvedSteer {
     /// (the union over both pipelines' replica specs) are carried for
     /// diagnostics and for deployments that want flow affinity anyway.
     Replica(Vec<String>),
+}
+
+/// Keyed steering by `spec`, its key slice lowered onto slots.
+fn keyed(spec: FlowKeySpec) -> ResolvedSteer {
+    let slots = SlotFlowKey::lower(&spec).ok();
+    ResolvedSteer::Keyed(spec, slots)
 }
 
 /// How one side's (ingress or egress) serial state is reconstructed from
@@ -376,18 +385,11 @@ impl ShardPlan {
                 MergePlan::Trivial,
                 MergePlan::Trivial,
             )),
-            (Ok(Keyed(k)), Ok(Stateless)) => Ok((
-                ResolvedSteer::Keyed(k.clone()),
-                MergePlan::Owned(k),
-                MergePlan::Trivial,
-            )),
-            (Ok(Stateless), Ok(Keyed(k))) => egress_key_ok(&k).map(|()| {
-                (
-                    ResolvedSteer::Keyed(k.clone()),
-                    MergePlan::Trivial,
-                    MergePlan::Owned(k),
-                )
-            }),
+            (Ok(Keyed(k)), Ok(Stateless)) => {
+                Ok((keyed(k.clone()), MergePlan::Owned(k), MergePlan::Trivial))
+            }
+            (Ok(Stateless), Ok(Keyed(k))) => egress_key_ok(&k)
+                .map(|()| (keyed(k.clone()), MergePlan::Trivial, MergePlan::Owned(k))),
             (Ok(Keyed(a)), Ok(Keyed(b))) => {
                 if a != b {
                     Err(format!(
@@ -401,13 +403,8 @@ impl ShardPlan {
                         b.modulus()
                     ))
                 } else {
-                    egress_key_ok(&b).map(|()| {
-                        (
-                            ResolvedSteer::Keyed(a.clone()),
-                            MergePlan::Owned(a),
-                            MergePlan::Owned(b),
-                        )
-                    })
+                    egress_key_ok(&b)
+                        .map(|()| (keyed(a.clone()), MergePlan::Owned(a), MergePlan::Owned(b)))
                 }
             }
             // Replica tiers: a replicable side is state-safe under any
@@ -432,13 +429,13 @@ impl ShardPlan {
             // demands it); the replicated side tolerates it. The egress
             // key still has to be computable on the input packet.
             (Ok(Keyed(k)), Ok(Replicable(r))) => Ok((
-                ResolvedSteer::Keyed(k.clone()),
+                keyed(k.clone()),
                 MergePlan::Owned(k),
                 MergePlan::Replicated(r),
             )),
             (Ok(Replicable(r)), Ok(Keyed(k))) => egress_key_ok(&k).map(|()| {
                 (
-                    ResolvedSteer::Keyed(k.clone()),
+                    keyed(k.clone()),
                     MergePlan::Replicated(r),
                     MergePlan::Owned(k),
                 )
@@ -483,7 +480,7 @@ impl ShardPlan {
     /// The extracted flow key, when steering is key-derived.
     pub fn flow_key(&self) -> Option<&FlowKeySpec> {
         match &self.steer {
-            ResolvedSteer::Keyed(spec) => Some(spec),
+            ResolvedSteer::Keyed(spec, _) => Some(spec),
             _ => None,
         }
     }
@@ -531,7 +528,10 @@ impl ShardPlan {
         }
         match &self.steer {
             ResolvedSteer::Single => 0,
-            ResolvedSteer::Keyed(spec) => spec.shard_of(pkt, n),
+            ResolvedSteer::Keyed(spec, slots) => match slots {
+                Some(slots) => FlowKeySpec::shard_of_class(slots.key_of(pkt), n),
+                None => spec.shard_of(pkt, n),
+            },
             ResolvedSteer::Replica(_) => idx % n,
             ResolvedSteer::WholePacket => {
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -553,7 +553,7 @@ impl fmt::Display for ShardPlan {
                 let why = self.fallback.as_deref().unwrap_or("single shard requested");
                 write!(f, ", single-shard fallback: {why}")
             }
-            ResolvedSteer::Keyed(spec) => {
+            ResolvedSteer::Keyed(spec, _) => {
                 write!(
                     f,
                     ", keyed on pkt.{} mod {}",
@@ -666,6 +666,9 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     /// shard is rebuilt *without* its fault schedule).
     ingress_pipeline: AtomPipeline,
     egress_pipeline: AtomPipeline,
+    /// The one field table every shard and the post-merge stage share,
+    /// so queued packets move between them as they are.
+    table: Arc<FieldTable>,
     capacity: usize,
     batch: usize,
     ring: usize,
@@ -748,11 +751,20 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 factory(s, ingress, egress, config.capacity)?.with_scheduler(config.sched.clone()),
             );
         }
+        let mut union = FieldTable::new();
+        for sw in &shards {
+            union.extend_from(sw.field_table());
+        }
+        let table = Arc::new(union);
+        for sw in &mut shards {
+            sw.adopt_table(&table);
+        }
         Ok(ShardedSwitch {
             plan,
             shards,
             ingress_pipeline: ingress.clone(),
             egress_pipeline: egress.clone(),
+            table,
             capacity: config.capacity,
             batch: config.batch.max(1),
             ring: config.ring.max(1),
@@ -896,12 +908,14 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// A fresh shard with pristine engines, through the plain build hook
     /// (a replacement never inherits a fault schedule).
     fn rebuild(&self, capacity: usize) -> Result<Switch<E>, SwitchError> {
-        Ok(Switch::from_engines(
+        let mut sw = Switch::from_engines(
             E::build(&self.ingress_pipeline)?,
             E::build(&self.egress_pipeline)?,
             capacity,
         )
-        .with_scheduler(self.sched.clone()))
+        .with_scheduler(self.sched.clone());
+        sw.adopt_table(&self.table);
+        Ok(sw)
     }
 
     /// The dispatcher's one step: pulls arrival `i` (stamped with its
@@ -956,7 +970,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut rings: Vec<Ring> = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for sw in std::mem::take(&mut self.shards) {
-            let (tx, rx) = mpsc::sync_channel::<Vec<Queued>>(self.ring);
+            let (tx, rx) = mpsc::sync_channel::<Vec<Incoming>>(self.ring);
             let (done_tx, done_rx) = mpsc::channel();
             let handle = std::thread::spawn(move || {
                 let _ = done_tx.send(worker_loop(sw, rx, drain));
@@ -970,7 +984,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut offered = vec![0u64; n];
         let mut feeder_drops = vec![DropCounters::new(); n];
         let mut stalled = vec![false; n];
-        let mut pending: Vec<Vec<Queued>> =
+        let mut pending: Vec<Vec<Incoming>> =
             (0..n).map(|_| Vec::with_capacity(self.batch)).collect();
         let mut pulled: u64 = 0;
         let source_error = loop {
@@ -1125,7 +1139,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     fn feed(
         &self,
         ring: &mut Ring,
-        mut batch: Vec<Queued>,
+        mut batch: Vec<Incoming>,
         drops: &mut DropCounters,
         stalled: &mut bool,
     ) {
@@ -1179,7 +1193,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             .iter_mut()
             .flat_map(Switch::take_queue)
             .collect();
-        entries.sort_unstable_by_key(|(_, (arrival, _, _))| *arrival);
+        entries.sort_unstable_by_key(|(_, queued)| queued.arrival);
         let tail = match self.sched_tail.take() {
             Some(tail) => tail,
             // Unbounded: it only re-orders what the shards admitted.
@@ -1227,7 +1241,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             out: (0..n).map(|_| VecDeque::new()).collect(),
         };
         timings.shard_ns = vec![0; n];
-        let mut lanes: Vec<Vec<Queued>> = (0..n).map(|_| Vec::new()).collect();
+        let mut lanes: Vec<Vec<Incoming>> = (0..n).map(|_| Vec::new()).collect();
         let mut ended = false;
         while !ended {
             let t = Instant::now();
@@ -1689,7 +1703,7 @@ struct Inline<T> {
 
 /// The feeder's handle to one shard's batch ring (`None` once the shard
 /// has been declared dead or stalled and cut off).
-type Ring = Option<mpsc::SyncSender<Vec<Queued>>>;
+type Ring = Option<mpsc::SyncSender<Vec<Incoming>>>;
 
 /// What a shard worker reports back on its outcome channel.
 enum WorkerOutcome<E: PipelineEngine> {
@@ -1718,7 +1732,7 @@ enum WorkerOutcome<E: PipelineEngine> {
 /// is its queue, popped in the discipline's order.
 fn worker_loop<E: PipelineEngine>(
     mut sw: Switch<E>,
-    rx: mpsc::Receiver<Vec<Queued>>,
+    rx: mpsc::Receiver<Vec<Incoming>>,
     drain: Drain,
 ) -> WorkerOutcome<E> {
     let mut out: Vec<Packet> = Vec::new();
@@ -1754,7 +1768,7 @@ fn worker_loop<E: PipelineEngine>(
 fn popped<E: PipelineEngine>(sw: &mut Switch<E>) -> Vec<Packet> {
     sw.take_queue()
         .into_iter()
-        .map(|(_, (_, pkt, _))| pkt)
+        .map(|(_, queued)| queued.into_packet())
         .collect()
 }
 

@@ -22,10 +22,17 @@
 //! packet. The map-based [`Machine`](crate::Machine) remains the semantic
 //! reference; differential tests (and the `throughput` harness) assert the
 //! two paths are bit-identical, packet-for-packet and state-for-state.
+//!
+//! A [`Switch`](crate::Switch) re-targets both of its engines at its one
+//! table (the same program, slots renumbered by name), so a packet
+//! crosses ingress, the queue and egress as one [`FlatPacket`] and
+//! [`SlotMachine::process_flat`] is the whole per-stage cost. The map-edged [`SlotMachine::process`] stays for callers holding
+//! `Packet`s. [`SlotFlowKey`] lowers a sharding flow key's stateless slice
+//! the same way, for the sharded dispatcher.
 
 use crate::machine::AtomPipeline;
 use domino_ast::{intrinsics, BinOp, UnOp};
-use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, StateLayout};
+use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, StateLayout};
 use domino_ir::{Operand, Packet, StateRef, StateStore, TacRhs, TacStmt};
 use std::fmt;
 use std::sync::Arc;
@@ -45,6 +52,12 @@ impl SlotOperand {
         match self {
             SlotOperand::Slot(id) => vals[id.index()],
             SlotOperand::Const(c) => c,
+        }
+    }
+
+    fn remap(&mut self, map: &[FieldId]) {
+        if let SlotOperand::Slot(id) = self {
+            *id = map[id.index()];
         }
     }
 }
@@ -130,6 +143,12 @@ impl SlotStateRef {
             }
         }
     }
+
+    fn remap(&mut self, map: &[FieldId]) {
+        if let SlotStateRef::Array { index, .. } = self {
+            index.remap(map);
+        }
+    }
 }
 
 /// A right-hand side with all operands slot-resolved.
@@ -174,6 +193,22 @@ impl SlotRhs {
             }
         }
     }
+
+    fn remap(&mut self, map: &[FieldId]) {
+        match self {
+            SlotRhs::Copy(o) | SlotRhs::Unary(_, o) => o.remap(map),
+            SlotRhs::Binary(_, a, b) => {
+                a.remap(map);
+                b.remap(map);
+            }
+            SlotRhs::Ternary(c, a, b) => {
+                c.remap(map);
+                a.remap(map);
+                b.remap(map);
+            }
+            SlotRhs::Intrinsic { args, .. } => args.iter_mut().for_each(|a| a.remap(map)),
+        }
+    }
 }
 
 /// One slot-indexed statement (the lowered form of [`TacStmt`]).
@@ -206,6 +241,23 @@ impl SlotOp {
             }
             SlotOp::Assign { dst, rhs } => {
                 vals[dst.index()] = rhs.eval(vals);
+            }
+        }
+    }
+
+    fn remap(&mut self, map: &[FieldId]) {
+        match self {
+            SlotOp::ReadState { dst, state } => {
+                *dst = map[dst.index()];
+                state.remap(map);
+            }
+            SlotOp::WriteState { state, src } => {
+                state.remap(map);
+                src.remap(map);
+            }
+            SlotOp::Assign { dst, rhs } => {
+                *dst = map[dst.index()];
+                rhs.remap(map);
             }
         }
     }
@@ -273,12 +325,9 @@ impl SlotPipeline {
             }
         }
 
-        let mut written_mask = vec![0u64; table.len().div_ceil(64)].into_boxed_slice();
         written.sort_unstable();
         written.dedup();
-        for id in &written {
-            written_mask[id.index() / 64] |= 1 << (id.index() % 64);
-        }
+        let written_mask = mask_of(&written, table.len());
 
         Ok(SlotPipeline {
             name: pipeline.name.clone(),
@@ -289,6 +338,43 @@ impl SlotPipeline {
             written_mask,
             written_slots: written,
         })
+    }
+
+    /// Re-targets the program at `table`, a superset of its own layout
+    /// (a switch's one table, see [`crate::Switch`]): every slot is
+    /// renumbered to the slot `table` gives the same name. Re-targeting at
+    /// a table whose prefix is this program's layout changes no slot.
+    ///
+    /// # Errors
+    ///
+    /// If `table` lacks a field this program reads or writes.
+    pub(crate) fn rebind(&mut self, table: &Arc<FieldTable>) -> Result<(), String> {
+        if Arc::ptr_eq(&self.table, table) {
+            return Ok(());
+        }
+        let map = self
+            .table
+            .iter()
+            .map(|(_, name)| {
+                table
+                    .lookup(name)
+                    .ok_or_else(|| format!("field `{name}` of `{}` is not in the table", self.name))
+            })
+            .collect::<Result<Vec<FieldId>, String>>()?;
+        for op in self.stages.iter_mut().flatten() {
+            op.remap(&map);
+        }
+        for (declared, internal) in &mut self.deparse {
+            *declared = map[declared.index()];
+            *internal = map[internal.index()];
+        }
+        for id in &mut self.written_slots {
+            *id = map[id.index()];
+        }
+        self.written_slots.sort_unstable();
+        self.written_mask = mask_of(&self.written_slots, table.len());
+        self.table = Arc::clone(table);
+        Ok(())
     }
 
     /// Transaction name this pipeline implements.
@@ -337,6 +423,15 @@ impl fmt::Display for SlotPipeline {
         }
         Ok(())
     }
+}
+
+/// The presence bitmask of `slots` over a `len`-slot layout.
+fn mask_of(slots: &[FieldId], len: usize) -> Box<[u64]> {
+    let mut mask = vec![0u64; len.div_ceil(64)].into_boxed_slice();
+    for id in slots {
+        mask[id.index() / 64] |= 1 << (id.index() % 64);
+    }
+    mask
 }
 
 fn lower_operand(op: &Operand, table: &mut FieldTable) -> SlotOperand {
@@ -561,14 +656,14 @@ impl SlotMachine {
     ///
     /// Fields the layout does not know (pass-through metadata the program
     /// never mentions) are preserved verbatim, exactly like the map path:
-    /// the result starts from the input packet and only written slots are
-    /// merged back.
+    /// the result is the input packet with the flat run's slots merged
+    /// over it in one sorted pass ([`FlatPacket::merged_with`]; the same
+    /// packet `merge_back` makes, since the other present slots hold the
+    /// input's own values).
     pub fn process(&mut self, pkt: Packet) -> Packet {
         let mut flat = FlatPacket::from_packet(&pkt, &self.program.table);
         self.process_flat(&mut flat);
-        let mut out = pkt;
-        self.merge_back(&flat, &mut out);
-        out
+        flat.merged_with(pkt)
     }
 
     /// Runs a map-packet trace, one packet at a time (the drop-in
@@ -598,14 +693,125 @@ impl SlotMachine {
 
     /// Copies every slot this pipeline writes from `flat` into `out` by
     /// name — the deparser step reconstructing a map packet from a flat
-    /// run. `process` is `from_packet` → `process_flat` → `merge_back`;
-    /// harnesses that time the flat path re-use this to realize outputs
-    /// for comparison against the reference path.
+    /// run. `process` equals `from_packet` → `process_flat` →
+    /// `merge_back`; harnesses that time the flat path re-use this to
+    /// realize outputs for comparison against the reference path.
     pub fn merge_back(&self, flat: &FlatPacket, out: &mut Packet) {
         let vals = flat.slots();
         for id in &self.program.written_slots {
-            out.set(self.program.table.name(*id), vals[id.index()]);
+            out.set_shared(self.program.table.shared_name(*id), vals[id.index()]);
         }
+    }
+
+    /// Re-targets this machine at a superset layout (see
+    /// [`SlotPipeline::rebind`]); state is untouched.
+    ///
+    /// # Errors
+    ///
+    /// If `table` lacks a field the program reads or writes.
+    pub(crate) fn rebind(&mut self, table: &Arc<FieldTable>) -> Result<(), String> {
+        self.program.rebind(table)
+    }
+}
+
+/// A [`FlowKeySpec`]'s stateless key slice lowered onto slots, so a
+/// dispatcher evaluates the flow key with integer indexing over a
+/// reusable scratch slab instead of a fresh map packet per call.
+///
+/// Bit-identical to [`FlowKeySpec::key_of`], its reference: the scratch
+/// starts with every slot absent (reading 0) and only the slice's root
+/// fields loaded, exactly like the reference's scratch packet.
+///
+/// ```
+/// use banzai::slot::SlotFlowKey;
+/// use domino_ir::{FlowKeySpec, Packet, Partitionability, StateLayout};
+/// use domino_ir::{Operand, StateRef, TacStmt};
+/// use domino_ast::{StateKind, StateVar};
+///
+/// // `counts[pkt.flow] = counts[pkt.flow] + 1`: keyed on `flow` mod 16.
+/// let decls = [StateVar { name: "counts".into(), kind: StateKind::Array { size: 16 }, init: 0 }];
+/// let idx = || StateRef::Array { name: "counts".into(), index: Operand::Field("flow".into()) };
+/// let stmts = [
+///     TacStmt::ReadState { dst: "old".into(), state: idx() },
+///     TacStmt::WriteState { state: idx(), src: Operand::Field("old".into()) },
+/// ];
+/// let Ok(Partitionability::Keyed(spec)) = StateLayout::from_decls(&decls).flow_key(&stmts) else {
+///     panic!("keyed");
+/// };
+/// let key = SlotFlowKey::lower(&spec).unwrap();
+/// let pkt = Packet::new().with("flow", 35);
+/// assert_eq!(key.key_of(&pkt), spec.key_of(&pkt));
+/// assert_eq!(key.key_of(&pkt), 3);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotFlowKey {
+    /// The slice's root fields and their scratch slots.
+    roots: Vec<(String, FieldId)>,
+    /// The slice, in program order: each statement assigns one slot.
+    ops: Vec<(FieldId, SlotRhs)>,
+    /// The slot of the key field.
+    key: FieldId,
+    /// Number of key classes.
+    modulus: u32,
+    /// Scratch slots the slice needs.
+    slots: usize,
+}
+
+thread_local! {
+    /// The dispatcher's reusable key scratch (one per thread, so a shared
+    /// plan steers from any thread without locking).
+    static KEY_SCRATCH: std::cell::RefCell<Vec<i32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+impl SlotFlowKey {
+    /// Lowers the spec's key slice onto a slot layout of its own.
+    ///
+    /// # Errors
+    ///
+    /// If the slice touches state (it never does: flow-key extraction
+    /// only emits stateless slices) or names an intrinsic the engine has
+    /// no entry point for.
+    pub fn lower(spec: &FlowKeySpec) -> Result<SlotFlowKey, String> {
+        let mut table = FieldTable::new();
+        let roots = spec
+            .roots()
+            .iter()
+            .map(|r| (r.clone(), table.intern(r)))
+            .collect();
+        let mut ops = Vec::with_capacity(spec.stmts().len());
+        for stmt in spec.stmts() {
+            let TacStmt::Assign { dst, rhs } = stmt else {
+                return Err("a flow-key slice must be stateless".into());
+            };
+            let rhs = lower_rhs(rhs, &mut table)?;
+            ops.push((table.intern(dst), rhs));
+        }
+        let key = table.intern(spec.key_field());
+        Ok(SlotFlowKey {
+            roots,
+            ops,
+            key,
+            modulus: spec.modulus(),
+            slots: table.len(),
+        })
+    }
+
+    /// The key class of an input packet (see [`FlowKeySpec::key_of`]).
+    pub fn key_of(&self, pkt: &Packet) -> u32 {
+        KEY_SCRATCH.with(|scratch| {
+            let mut vals = scratch.borrow_mut();
+            vals.clear();
+            vals.resize(self.slots, 0);
+            for (root, id) in &self.roots {
+                if let Some(v) = pkt.get(root) {
+                    vals[id.index()] = v;
+                }
+            }
+            for (dst, rhs) in &self.ops {
+                vals[dst.index()] = rhs.eval(&vals);
+            }
+            (vals[self.key.index()] as i64).rem_euclid(self.modulus as i64) as u32
+        })
     }
 }
 

@@ -14,17 +14,26 @@
 //! reference [`Machine`] (the default) or the slot-compiled
 //! [`SlotMachine`] fast path — the two are observably identical, which the
 //! differential throughput harness asserts.
+//!
+//! Inside the switch a packet is carried flat: one [`FlatPacket`] over
+//! the switch's one [`FieldTable`], built when the switch is built, plus
+//! the input [`Packet`] for the fields outside it (see [`Switch`]). The
+//! engines, the queue's metadata stamps and the scheduler's key all
+//! address slots; a `Packet` is built once, at the sink, from the table's
+//! shared names. Engines without a flat path run through
+//! [`PipelineEngine::process_carried`]'s default adapter.
 
 use crate::error::{FaultReport, ShardSalvage, SourceFault, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
-use crate::pifo::{Pifo, SchedKey, SchedSpec, Scheduler};
+use crate::pifo::{KeySlots, Pifo, SchedKey, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::wire::{self, ParseVerdict, WireConfig, WireLayout};
-use domino_ir::{Packet, StateStore};
+use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, StateStore};
 use std::fmt;
+use std::sync::Arc;
 
 /// An execution engine a [`Switch`] can drive a pipeline with.
 ///
@@ -34,6 +43,13 @@ use std::fmt;
 /// `import_state` are the hooks the sharded switch (`crate::shard`) uses
 /// to instantiate one independent engine per partition and warm-start it
 /// from a serial checkpoint.
+///
+/// A switch carries each packet flat (see [`Switch`]), so it drives an
+/// engine through the provided flat methods. An engine with a native
+/// flat path ([`SlotMachine`]) overrides all three; any other engine —
+/// the map [`Machine`], a wrapper that only implements the four required
+/// methods — gets the default adapter, which materializes a [`Packet`],
+/// runs [`PipelineEngine::process`] and absorbs the result.
 pub trait PipelineEngine {
     /// Instantiates an engine (with fresh state) for a compiled pipeline.
     fn build(pipeline: &AtomPipeline) -> Result<Self, SwitchError>
@@ -49,6 +65,33 @@ pub trait PipelineEngine {
     /// Overwrites the engine's persistent state from a snapshot (the
     /// inverse of [`PipelineEngine::export_state`]; shapes must match).
     fn import_state(&mut self, snapshot: &StateStore);
+
+    /// The fields the engine's native flat path reads and writes, which a
+    /// switch interns in its one table; `None` (the default) for an
+    /// engine with no flat path.
+    fn flat_table(&self) -> Option<&Arc<FieldTable>> {
+        None
+    }
+
+    /// Re-targets the native flat path at a switch's table, which interns
+    /// every field of [`PipelineEngine::flat_table`]. The default has
+    /// nothing to re-target.
+    fn bind_flat(&mut self, _table: &Arc<FieldTable>) {}
+
+    /// Runs one carried packet through every stage in place: `flat` holds
+    /// the fields of the table the engine was bound to, `rest` the input
+    /// packet whose other fields ride along (for a field in the table,
+    /// the slot is authoritative when present).
+    ///
+    /// The default is the adapter for engines without a flat path:
+    /// materialize the packet, [`PipelineEngine::process`] it, and absorb
+    /// the result — every table field back into `flat`, the whole packet
+    /// into `rest`.
+    fn process_carried(&mut self, flat: &mut FlatPacket, rest: &mut Packet) {
+        let out = self.process(flat.merged_with(std::mem::take(rest)));
+        flat.load(&out);
+        *rest = out;
+    }
 }
 
 impl PipelineEngine for Machine {
@@ -84,6 +127,22 @@ impl PipelineEngine for SlotMachine {
 
     fn import_state(&mut self, snapshot: &StateStore) {
         SlotMachine::import_state(self, snapshot)
+    }
+
+    fn flat_table(&self) -> Option<&Arc<FieldTable>> {
+        Some(self.field_table())
+    }
+
+    fn bind_flat(&mut self, table: &Arc<FieldTable>) {
+        self.rebind(table)
+            .expect("a switch's table interns every field of its engines' tables");
+    }
+
+    fn process_carried(&mut self, flat: &mut FlatPacket, _rest: &mut Packet) {
+        debug_assert!(
+            Arc::ptr_eq(flat.table(), self.field_table()) || **flat.table() == **self.field_table()
+        );
+        self.process_flat(flat);
     }
 }
 
@@ -269,6 +328,18 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 
 /// A switch: ingress pipeline, a bounded PIFO queue, egress pipeline.
 ///
+/// # The flat carrier
+///
+/// Every packet crosses the switch as one [`FlatPacket`] over the
+/// switch's one [`FieldTable`] — the union of both engines' tables, the
+/// [`QUEUE_METADATA_FIELDS`] and the [`SchedSpec`]'s key fields — paired
+/// with its input [`Packet`], whose fields outside the table ride along
+/// untouched. Ingress, the scheduler's key, the metadata stamps and
+/// egress all read and write slots resolved when the switch is built; a
+/// `Packet` is built once, at the sink, where the API hands one out
+/// ([`Run::collect`], [`Run::for_each`], [`SchedDeparture`], the frame
+/// deparser), and never for a dropped packet.
+///
 /// # Panic freedom
 ///
 /// The run entry points ([`Switch::run`], [`Switch::run_frames`]) never
@@ -283,6 +354,15 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,
     egress: E,
+    /// The one layout every carried packet uses (both engines are bound
+    /// to it).
+    table: Arc<FieldTable>,
+    /// The slots of [`QUEUE_METADATA_FIELDS`], in that order.
+    meta: [FieldId; 3],
+    /// The scheduler's key fields, resolved in `table`.
+    key: KeySlots,
+    /// Flat packets of departed and dropped packets, reused by arrivals.
+    spare: Vec<FlatPacket>,
     /// The queue between the pipelines, ordered by the keys `sched`
     /// computes (one key for all, i.e. drop-tail FIFO, by default). Every
     /// run queues here, byte-born packets ([`Switch::run_frames`]) with
@@ -298,6 +378,18 @@ pub struct Switch<E: PipelineEngine = Machine> {
     now: i64,
     drops: DropCounters,
     transmitted: u64,
+}
+
+/// Flat packets kept for reuse; beyond this, departing ones are freed.
+const SPARE_FLATS: usize = 64;
+
+/// The slots of [`QUEUE_METADATA_FIELDS`] in a switch's table.
+fn meta_slots(table: &FieldTable) -> [FieldId; 3] {
+    QUEUE_METADATA_FIELDS.map(|name| {
+        table
+            .lookup(name)
+            .expect("a switch's table interns the queue metadata")
+    })
 }
 
 impl Switch<Machine> {
@@ -336,17 +428,64 @@ impl Switch<SlotMachine> {
 }
 
 impl<E: PipelineEngine> Switch<E> {
-    /// Builds a switch from two already-instantiated engines.
+    /// Builds a switch from two already-instantiated engines (compiled
+    /// independently or not: the switch builds its table from both and
+    /// binds both to it).
     pub fn from_engines(ingress: E, egress: E, capacity: usize) -> Switch<E> {
-        Switch {
+        let mut table = FieldTable::new();
+        for t in [ingress.flat_table(), egress.flat_table()]
+            .into_iter()
+            .flatten()
+        {
+            table.extend_from(t);
+        }
+        for name in QUEUE_METADATA_FIELDS {
+            table.intern(name);
+        }
+        let table = Arc::new(table);
+        let mut sw = Switch {
             ingress,
             egress,
+            meta: meta_slots(&table),
+            table: Arc::clone(&table),
+            key: KeySlots::Fifo,
+            spare: Vec::new(),
             queue: Pifo::bounded(capacity),
             sched: SchedSpec::Fifo,
             drain_period: 1,
             now: 0,
             drops: DropCounters::new(),
             transmitted: 0,
+        };
+        sw.bind(table);
+        sw
+    }
+
+    /// Makes `table` the switch's layout: binds both engines to it and
+    /// resolves the metadata and key slots. Nothing may be queued.
+    fn bind(&mut self, table: Arc<FieldTable>) {
+        debug_assert!(self.queue.is_empty());
+        self.ingress.bind_flat(&table);
+        self.egress.bind_flat(&table);
+        self.meta = meta_slots(&table);
+        self.key = self.sched.resolve(&table);
+        self.spare.clear();
+        self.table = table;
+    }
+
+    /// The switch's one field layout: every carried packet's slots (see
+    /// [`Switch`]).
+    pub(crate) fn field_table(&self) -> &Arc<FieldTable> {
+        &self.table
+    }
+
+    /// Shares another switch's table when it interns every field this
+    /// one does (the sharded switch makes all its switches agree on one
+    /// table, so queued packets move between them unchanged). Nothing
+    /// may be queued.
+    pub(crate) fn adopt_table(&mut self, table: &Arc<FieldTable>) {
+        if !Arc::ptr_eq(&self.table, table) && table.covers(&self.table) {
+            self.bind(Arc::clone(table));
         }
     }
 
@@ -394,6 +533,20 @@ impl<E: PipelineEngine> Switch<E> {
     pub fn set_scheduler(&mut self, spec: SchedSpec) {
         self.queue = Pifo::bounded(self.queue.capacity());
         self.sched = spec;
+        if self
+            .sched
+            .fields()
+            .iter()
+            .all(|f| self.table.lookup(f).is_some())
+        {
+            self.key = self.sched.resolve(&self.table);
+        } else {
+            let mut table = (*self.table).clone();
+            for f in self.sched.fields() {
+                table.intern(f);
+            }
+            self.bind(Arc::new(table));
+        }
     }
 
     /// The scheduling policy the queue runs.
@@ -607,12 +760,32 @@ impl<E: PipelineEngine> Switch<E> {
             if drain == Drain::Periodic {
                 stats.transmitted += self.drain_until(Some(t), self.drain_period, emit);
             }
-            let processed = self.ingress.process(pkt);
-            let key = self.sched.key_of(&processed);
+            let mut flat = match self.spare.pop() {
+                Some(mut flat) => {
+                    flat.load(&pkt);
+                    flat
+                }
+                None => FlatPacket::from_packet(&pkt, &self.table),
+            };
+            let mut rest = pkt;
+            self.ingress.process_carried(&mut flat, &mut rest);
+            let key = self.key.key_of(&flat);
+            let queued = Queued {
+                arrival: t,
+                flat,
+                rest,
+                layout,
+            };
             // Compared unsigned: `capacity` may be `usize::MAX`.
             let full = drain == Drain::Burst && t as u64 >= self.capacity() as u64;
-            if full || self.queue.push(key, (t, processed, layout)).is_err() {
+            let refused = if full {
+                Err(queued)
+            } else {
+                self.queue.push(key, queued)
+            };
+            if let Err(queued) = refused {
                 self.drops.bump(self.sched.full_drop_reason());
+                self.recycle(queued.flat);
             }
         };
         if drain == Drain::Periodic {
@@ -679,27 +852,36 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// Stamps the [`QUEUE_METADATA_FIELDS`] on a departing packet
     /// (`enq_ts` = its arrival cycle, `now` = the departure cycle,
-    /// `qdepth` = packets still queued), runs egress, and hands the
-    /// result on.
+    /// `qdepth` = packets still queued), runs egress, builds the packet
+    /// and hands it on.
     fn depart(
         &mut self,
         key: SchedKey,
-        (arrival, mut pkt, layout): Queued,
+        mut queued: Queued,
         emit: &mut dyn FnMut(SchedDeparture, Option<Box<WireLayout>>),
     ) {
-        let [enq_ts, now, qdepth] = QUEUE_METADATA_FIELDS;
-        pkt.set(enq_ts, arrival as i32);
-        pkt.set(now, self.now as i32);
-        pkt.set(qdepth, self.queue.len() as i32);
-        let pkt = self.egress.process(pkt);
+        let [enq_ts, now, qdepth] = self.meta;
+        queued.flat.set(enq_ts, queued.arrival as i32);
+        queued.flat.set(now, self.now as i32);
+        queued.flat.set(qdepth, self.queue.len() as i32);
+        self.egress
+            .process_carried(&mut queued.flat, &mut queued.rest);
         self.transmitted += 1;
         let departure = SchedDeparture {
-            arrival,
+            arrival: queued.arrival,
             key,
             departure: self.now,
-            pkt,
+            pkt: queued.flat.merged_with(queued.rest),
         };
-        emit(departure, layout);
+        self.recycle(queued.flat);
+        emit(departure, queued.layout);
+    }
+
+    /// Keeps a flat packet for the next arrival.
+    fn recycle(&mut self, flat: FlatPacket) {
+        if self.spare.len() < SPARE_FLATS && Arc::ptr_eq(flat.table(), &self.table) {
+            self.spare.push(flat);
+        }
     }
 
     /// Packets handled so far: transmitted, dropped, or queued. It grows
@@ -715,9 +897,14 @@ impl<E: PipelineEngine> Switch<E> {
         std::iter::from_fn(|| self.queue.pop()).collect()
     }
 
-    /// Queues already-ingressed entries, in the order given.
+    /// Queues already-ingressed entries, in the order given. An entry
+    /// carried over another table (one this switch could not adopt) is
+    /// re-laid onto this switch's table first.
     pub(crate) fn requeue(&mut self, entries: Vec<(SchedKey, Queued)>) {
-        for (key, queued) in entries {
+        for (key, mut queued) in entries {
+            if !Arc::ptr_eq(queued.flat.table(), &self.table) {
+                queued.relayout(&self.table);
+            }
             if self.queue.push(key, queued).is_err() {
                 self.drops.bump(self.sched.full_drop_reason());
             }
@@ -836,13 +1023,53 @@ impl<E: PipelineEngine> Switch<E> {
     }
 }
 
-/// A queue entry: the arrival cycle, the ingress-processed packet, and
-/// its wire layout when the packet was born from a frame.
-pub(crate) type Queued = (i64, Packet, Option<Box<WireLayout>>);
+/// An arrival before ingress: its cycle, the input packet, and its wire
+/// layout when the packet was born from a frame.
+pub(crate) type Incoming = (i64, Packet, Option<Box<WireLayout>>);
 
 /// What the run core pulls per arrival: a packet to queue, or the
 /// verdict of a frame the parser rejected.
-pub(crate) type Arrival = Result<Queued, ParseVerdict>;
+pub(crate) type Arrival = Result<Incoming, ParseVerdict>;
+
+/// A queue entry: an ingress-processed packet, carried flat.
+#[derive(Debug, Clone)]
+pub(crate) struct Queued {
+    /// The arrival cycle.
+    pub(crate) arrival: i64,
+    /// The table's fields.
+    flat: FlatPacket,
+    /// The input packet: its fields outside the table ride along here
+    /// (for a field in the table, `flat` is authoritative when present).
+    rest: Packet,
+    /// The wire layout of a frame-born packet.
+    layout: Option<Box<WireLayout>>,
+}
+
+impl Queued {
+    /// The packet this entry stands for.
+    pub(crate) fn into_packet(self) -> Packet {
+        self.flat.merged_with(self.rest)
+    }
+
+    /// Moves the entry onto `table`: the input's fields `table` interns
+    /// are loaded, the carried slots written over them by name, and a
+    /// carried slot `table` lacks goes to the input packet instead.
+    fn relayout(&mut self, table: &Arc<FieldTable>) {
+        let mut flat = FlatPacket::from_packet(&self.rest, table);
+        let old = &self.flat;
+        for (id, name) in old.table().iter() {
+            if !old.has(id) {
+                continue;
+            }
+            let value = old.get_or_zero(id);
+            match table.lookup(name) {
+                Some(slot) => flat.set(slot, value),
+                None => self.rest.set_shared(old.table().shared_name(id), value),
+            }
+        }
+        self.flat = flat;
+    }
+}
 
 /// A source of arrivals for [`Switch::run_core`] and the sharded
 /// dispatcher.
@@ -880,7 +1107,7 @@ impl<S: FrameSource> Arrivals for Frames<'_, S> {
 /// A shard's batch, stamped with global arrival cycles. Each packet is
 /// taken out as it is pulled; the stamps stay, so a fault can name the
 /// packet it hit.
-pub(crate) struct Stamped<'a>(pub(crate) std::slice::IterMut<'a, Queued>);
+pub(crate) struct Stamped<'a>(pub(crate) std::slice::IterMut<'a, Incoming>);
 
 impl Arrivals for Stamped<'_> {
     fn next_arrival(&mut self, _local: i64) -> Result<Option<Arrival>, SourceError> {
@@ -1135,7 +1362,7 @@ mod tests {
     /// does.
     fn stamped(sw: &mut Switch, batch: &[(i64, Packet)]) -> Result<Vec<Packet>, SwitchError> {
         sw.line_rate()?;
-        let mut lane: Vec<Queued> = batch.iter().map(|(t, p)| (*t, p.clone(), None)).collect();
+        let mut lane: Vec<Incoming> = batch.iter().map(|(t, p)| (*t, p.clone(), None)).collect();
         let mut out = Vec::new();
         sw.run_core(
             &mut Stamped(lane.iter_mut()),
@@ -1208,6 +1435,56 @@ mod tests {
         a.import_egress_state(&snap_eg);
         assert_eq!(a.export_ingress_state(), snap_in);
         assert_eq!(a.export_egress_state(), snap_eg);
+    }
+
+    /// A one-statement stateless pipeline `pkt.dst = rhs`.
+    fn assign(name: &str, dst: &str, rhs: domino_ir::TacRhs) -> AtomPipeline {
+        use crate::machine::{AtomRole, CompiledAtom};
+        use domino_ir::{Codelet, TacStmt};
+        let stmt = TacStmt::Assign {
+            dst: dst.into(),
+            rhs,
+        };
+        AtomPipeline {
+            stages: vec![vec![CompiledAtom {
+                codelet: Codelet::new(vec![stmt]),
+                role: AtomRole::Stateless,
+            }]],
+            declared_fields: vec![dst.into()],
+            ..AtomPipeline::passthrough(name)
+        }
+    }
+
+    #[test]
+    fn requeue_moves_entries_between_switches_with_different_tables() {
+        use crate::pifo::SchedSpec;
+        use domino_ast::BinOp;
+        use domino_ir::{Operand, TacRhs};
+
+        // `a` ranks by `r2 = 100 - r`, which `b`'s table lacks; `b`'s
+        // egress copies `x` into `y`, and `a`'s table lacks `x`.
+        let rank = TacRhs::Binary(BinOp::Sub, Operand::Const(100), Operand::Field("r".into()));
+        let mut a = Switch::new_slot(&assign("in", "r2", rank), &passthrough("out"), 8)
+            .unwrap()
+            .with_scheduler(SchedSpec::Pifo { rank: "r2".into() });
+        let copy = TacRhs::Copy(Operand::Field("x".into()));
+        let mut b = Switch::new_slot(&passthrough("in"), &assign("out", "y", copy), 8).unwrap();
+        assert!(a.field_table().lookup("x").is_none());
+        assert!(b.field_table().lookup("r2").is_none());
+
+        let mut lane: Vec<Incoming> = [3, 1, 2]
+            .iter()
+            .map(|&r| (r as i64, Packet::new().with("r", r).with("x", 10 * r), None))
+            .collect();
+        a.run_core(&mut Stamped(lane.iter_mut()), Drain::Burst, &mut |_, _| {});
+        b.requeue(a.take_queue());
+        let mut out = Vec::new();
+        b.drain_burst(3, &mut |d, _| out.push(d.pkt));
+        let got: Vec<(i32, i32, i32)> = out
+            .iter()
+            .map(|p| (p.expect("r2"), p.expect("x"), p.expect("y")))
+            .collect();
+        assert_eq!(got, [(97, 30, 30), (98, 20, 20), (99, 10, 10)]);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 use domino_ir::wire::{fields as wf, HEADER_FIELDS};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -153,6 +153,8 @@ impl fmt::Display for ParseVerdict {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireConfig {
     meta: Vec<String>,
+    /// The same names, shared by every packet and patch a parse makes.
+    meta_names: Vec<Arc<str>>,
 }
 
 impl WireConfig {
@@ -184,7 +186,8 @@ impl WireConfig {
             }
             meta.push(f);
         }
-        Ok(WireConfig { meta })
+        let meta_names = meta.iter().map(|f| Arc::from(f.as_str())).collect();
+        Ok(WireConfig { meta, meta_names })
     }
 
     /// The trailer schema, in wire order.
@@ -210,8 +213,9 @@ pub enum L4 {
 /// One patchable region of a frame: a decoded field's wire position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patch {
-    /// The packet field this region decodes to.
-    pub field: String,
+    /// The packet field this region decodes to (the name the parsed
+    /// packet's field shares).
+    pub field: Arc<str>,
     /// Byte offset into the frame.
     pub offset: usize,
     /// Width in bytes (1, 2, or 4); values are masked to this width on
@@ -459,31 +463,43 @@ fn parse_raw(frame: &[u8], cfg: &WireConfig) -> Result<RawFrame, ParseVerdict> {
 // Map-level front-end (the reference path)
 // ---------------------------------------------------------------------------
 
+/// The canonical header names as shared strings, in
+/// [`HEADER_FIELDS`] order: every parsed packet and patch references
+/// these instead of copying a name per field.
+fn header_names() -> &'static [Arc<str>] {
+    static NAMES: OnceLock<Vec<Arc<str>>> = OnceLock::new();
+    NAMES.get_or_init(|| HEADER_FIELDS.iter().map(|&n| Arc::from(n)).collect())
+}
+
 /// Parses a byte frame into a [`WirePacket`] (map-packet view plus
 /// deparse layout).
 ///
 /// Never panics: malformed input is a typed [`ParseVerdict`].
 pub fn parse(frame: &[u8], cfg: &WireConfig) -> Result<WirePacket, ParseVerdict> {
     let raw = parse_raw(frame, cfg)?;
-    let mut pkt = Packet::new();
-    let mut patches = Vec::with_capacity(raw.fields.len() + raw.meta.len());
-    for &(idx, value, offset, width) in &raw.fields {
-        let name = HEADER_FIELDS[idx];
-        pkt.set(name, value);
+    let headers = header_names();
+    let decoded = raw
+        .fields
+        .iter()
+        .map(|&(idx, value, offset, width)| (&headers[idx], value, offset, width))
+        .chain(
+            raw.meta
+                .iter()
+                .zip(&cfg.meta_names)
+                .enumerate()
+                .map(|(i, (&value, name))| (name, value, raw.meta_off + 4 * i, 4)),
+        );
+    let mut fields = Vec::with_capacity(raw.fields.len() + raw.meta.len());
+    let mut patches = Vec::with_capacity(fields.capacity());
+    for (name, value, offset, width) in decoded {
+        fields.push((Arc::clone(name), value));
         patches.push(Patch {
-            field: name.to_string(),
+            field: Arc::clone(name),
             offset,
             width,
         });
     }
-    for (i, (&value, name)) in raw.meta.iter().zip(&cfg.meta).enumerate() {
-        pkt.set(name, value);
-        patches.push(Patch {
-            field: name.clone(),
-            offset: raw.meta_off + 4 * i,
-            width: 4,
-        });
-    }
+    let pkt: Packet = fields.into_iter().collect();
     Ok(WirePacket {
         pkt,
         layout: WireLayout {

@@ -13,8 +13,9 @@
 //!   indexing);
 //! * **the Figure-1 switch workload** — flowlet at ingress, CoDel (LUT) at
 //!   egress, a real queue in between, driven once per engine through the
-//!   unified run builder (`switch.run(trace).collect()`, map-packet edges
-//!   included on both sides);
+//!   unified run builder (`switch.run(trace).collect()`: the slot switch
+//!   carries packets flat and builds each output once at the sink, the
+//!   map switch drives its engines through the packet adapter);
 //! * **wire roundtrip workloads (E11)** — the same traces born as raw
 //!   byte frames (`bench::wiregen`) through the full
 //!   parse → pipeline → deparse path ([`wire_workload`]), plus the

@@ -1,13 +1,14 @@
 //! Compile-time field layout: interned fields, flat packets, flat state.
 //!
-//! The map-based [`Packet`] is the *semantic reference*: a
-//! `BTreeMap` from field name to value, convenient and order-deterministic
-//! but string-keyed on every access. Real switch pipelines resolve header
-//! layouts at compile time — a PHV container is a fixed offset, not a
-//! dictionary lookup. This module provides that layout-resolution step:
+//! The map-based [`Packet`] is the *semantic reference*: a name-sorted
+//! list of fields, convenient and order-deterministic but string-keyed on
+//! every access. Real switch pipelines resolve header layouts at compile
+//! time — a PHV container is a fixed offset, not a dictionary lookup.
+//! This module provides that layout-resolution step:
 //!
 //! * [`FieldTable`] — an interner assigning every packet field a dense
-//!   [`FieldId`] (its PHV slot), keeping reverse names for diagnostics;
+//!   [`FieldId`] (its PHV slot), keeping reverse names (shared `Arc<str>`s,
+//!   also in name order) for diagnostics and for building packets;
 //! * [`FlatPacket`] — a fixed `i32` slab keyed by [`FieldId`], with a
 //!   presence bitmask replicating the map packet's has/absent semantics;
 //! * [`StateLayout`] / [`FlatState`] — every state variable resolved to a
@@ -31,6 +32,7 @@ use crate::tac::{Operand, StateRef, TacRhs, TacStmt};
 use domino_ast::{StateKind, StateVar};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A dense identifier for an interned packet field — the field's slot in a
@@ -58,17 +60,61 @@ impl fmt::Display for FieldId {
     }
 }
 
+/// FNV-1a over the name's bytes: field names are short, and the table is
+/// probed with every field of every packet that enters a switch, where a
+/// keyed SipHash costs more than the probe. An unkeyed hash is safe here
+/// because only program field names are ever inserted: names arriving
+/// with traffic are looked up, never stored, so they cannot lengthen a
+/// chain.
+#[derive(Debug, Clone, Copy)]
+struct NameHasher(u64);
+
+impl Default for NameHasher {
+    fn default() -> NameHasher {
+        NameHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for NameHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// An interner mapping packet field names to dense [`FieldId`]s.
 ///
 /// Slots are assigned in first-intern order, so a table built by walking a
 /// pipeline deterministically is itself deterministic. The table keeps the
 /// reverse mapping (`id → name`) so fast-path diagnostics can still name
-/// the field — matching [`Packet::expect`]'s contract.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// the field — matching [`Packet::expect`]'s contract. Names are shared
+/// `Arc<str>`s: a [`Packet`] built from a flat packet references them
+/// instead of copying them, and the table keeps its slots in name order
+/// too, so that build is one sorted merge.
+#[derive(Debug, Clone, Default)]
 pub struct FieldTable {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32, BuildHasherDefault<NameHasher>>,
+    /// Slot numbers in ascending name order.
+    sorted: Vec<u32>,
 }
+
+impl PartialEq for FieldTable {
+    /// Tables are equal when they assign the same names to the same slots
+    /// (the index and name order follow from that).
+    fn eq(&self, other: &FieldTable) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for FieldTable {}
 
 impl FieldTable {
     /// An empty table.
@@ -82,12 +128,31 @@ impl FieldTable {
             return FieldId(id);
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        let at = self
+            .sorted
+            .partition_point(|&s| self.names[s as usize] < name);
+        self.sorted.insert(at, id);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, id);
         FieldId(id)
     }
 
+    /// Interns every name of `other`, in its slot order — so a table
+    /// extended from an empty one assigns `other`'s slots unchanged.
+    pub fn extend_from(&mut self, other: &FieldTable) {
+        for (_, name) in other.iter() {
+            self.intern(name);
+        }
+    }
+
+    /// True if every name `other` interns is interned here too.
+    pub fn covers(&self, other: &FieldTable) -> bool {
+        other.names.iter().all(|n| self.index.contains_key(n))
+    }
+
     /// Looks up an already-interned field.
+    #[inline]
     pub fn lookup(&self, name: &str) -> Option<FieldId> {
         self.index.get(name).copied().map(FieldId)
     }
@@ -98,6 +163,16 @@ impl FieldTable {
     ///
     /// Panics if `id` was not issued by this table.
     pub fn name(&self, id: FieldId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// The shared name behind a [`FieldId`], for building packets whose
+    /// keys reference the table's names (see [`Packet::set_shared`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by this table.
+    pub fn shared_name(&self, id: FieldId) -> &Arc<str> {
         &self.names[id.index()]
     }
 
@@ -116,7 +191,14 @@ impl FieldTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (FieldId(i as u32), n.as_str()))
+            .map(|(i, n)| (FieldId(i as u32), &**n))
+    }
+
+    /// Iterates `(id, name)` in ascending name order.
+    fn iter_sorted(&self) -> impl Iterator<Item = (FieldId, &Arc<str>)> {
+        self.sorted
+            .iter()
+            .map(|&i| (FieldId(i), &self.names[i as usize]))
     }
 }
 
@@ -164,15 +246,29 @@ impl FlatPacket {
     ///
     /// Fields of `pkt` not present in the table are *not* representable and
     /// are skipped; callers that must preserve pass-through fields keep the
-    /// original packet and merge written slots back (see the slot engine).
+    /// original packet and merge written slots back (see the slot engine,
+    /// and [`FlatPacket::merged_with`]).
     pub fn from_packet(pkt: &Packet, table: &Arc<FieldTable>) -> Self {
         let mut flat = FlatPacket::new(Arc::clone(table));
+        flat.fill(pkt);
+        flat
+    }
+
+    /// Overwrites this packet with `pkt`'s fields: every slot is cleared,
+    /// then each field of `pkt` the table interns is written (the
+    /// allocation-free form of [`FlatPacket::from_packet`]).
+    pub fn load(&mut self, pkt: &Packet) {
+        self.vals.fill(0);
+        self.present.fill(0);
+        self.fill(pkt);
+    }
+
+    fn fill(&mut self, pkt: &Packet) {
         for (name, value) in pkt.iter() {
-            if let Some(id) = table.lookup(name) {
-                flat.set(id, value);
+            if let Some(id) = self.table.lookup(name) {
+                self.set(id, value);
             }
         }
-        flat
     }
 
     /// The layout this packet is keyed by.
@@ -264,11 +360,66 @@ impl FlatPacket {
 
     /// Converts back to a map packet (present fields only).
     pub fn to_packet(&self) -> Packet {
-        self.table
-            .iter()
-            .filter(|(id, _)| self.has(*id))
-            .map(|(id, n)| (n.to_string(), self.vals[id.index()]))
-            .collect()
+        self.merged_with(Packet::new())
+    }
+
+    /// The packet `input` becomes once every present slot is written over
+    /// it: fields the table interns take their slot's value when present
+    /// (the input's otherwise), and every other input field passes
+    /// through untouched.
+    ///
+    /// This is how a switch builds the one `Packet` a flat packet turns
+    /// into at the sink: a single merge of the input's sorted fields with
+    /// the table's name order, whose keys are the input's and the table's
+    /// shared names — no name is copied.
+    ///
+    /// ```
+    /// use domino_ir::{FieldTable, FlatPacket, Packet};
+    /// use std::sync::Arc;
+    ///
+    /// let mut table = FieldTable::new();
+    /// let hop = table.intern("hop");
+    /// let mut flat = FlatPacket::new(Arc::new(table));
+    /// flat.set(hop, 7);
+    /// let input = Packet::new().with("sport", 80).with("hop", 1);
+    /// let out = flat.merged_with(input);
+    /// assert_eq!(out, Packet::new().with("sport", 80).with("hop", 7));
+    /// ```
+    pub fn merged_with(&self, input: Packet) -> Packet {
+        use std::cmp::Ordering::{Equal, Greater};
+        let mut table = self.table.iter_sorted().peekable();
+        let mut out = Vec::with_capacity(input.len() + self.table.len());
+        for (name, mut value) in input.into_sorted_fields() {
+            // Table names up to this input field: present slots only,
+            // and the field itself takes its slot's value if present.
+            while let Some(&(id, tname)) = table.peek() {
+                let ord = if Arc::ptr_eq(tname, &name) {
+                    Equal
+                } else {
+                    (**tname).cmp(&*name)
+                };
+                if ord == Greater {
+                    break;
+                }
+                table.next();
+                if ord == Equal {
+                    if self.has(id) {
+                        value = self.vals[id.index()];
+                    }
+                    break;
+                }
+                if self.has(id) {
+                    out.push((Arc::clone(tname), self.vals[id.index()]));
+                }
+            }
+            out.push((name, value));
+        }
+        for (id, tname) in table {
+            if self.has(id) {
+                out.push((Arc::clone(tname), self.vals[id.index()]));
+            }
+        }
+        Packet::from_sorted(out)
     }
 }
 

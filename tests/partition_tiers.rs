@@ -11,6 +11,8 @@
 //! update the golden row *deliberately* — a failure here is the
 //! tripwire, with the exact delta in the message.
 
+use proptest::prelude::*;
+
 /// Which tier the analysis resolved, by diagnostic shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
@@ -212,4 +214,49 @@ fn tier_census_is_pinned() {
         (5, 2, 5),
         "tier census changed — update the golden table deliberately"
     );
+}
+
+/// The five Exact-tier flow keys, as the sharded switch plans them.
+fn exact_keys() -> Vec<(&'static str, domino_ir::FlowKeySpec)> {
+    let mut keys = Vec::new();
+    for (name, _, _) in GOLDEN {
+        let a = algorithms::by_name(name).unwrap();
+        let c = domino_compiler::normalize(a.source).unwrap();
+        if let Ok(domino_ir::Partitionability::Keyed(spec)) = domino_compiler::flow_key(&c) {
+            keys.push((name, spec));
+        }
+    }
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Steering evaluates each Exact-tier key slice lowered onto slots;
+    /// it must agree with the reference evaluator on any input packet:
+    /// roots with arbitrary values (wrapping hashes and masks, negative
+    /// values for the modulus), roots missing (read as 0), and fields
+    /// the slice never reads.
+    #[test]
+    fn slot_flow_key_equals_the_reference_key(
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(proptest::option::of(any::<i32>()), 4), any::<i32>()),
+            1..32,
+        ),
+    ) {
+        let keys = exact_keys();
+        prop_assert_eq!(keys.len(), 5);
+        for (name, spec) in &keys {
+            let slots = banzai::SlotFlowKey::lower(spec).unwrap();
+            for (roots, noise) in &rows {
+                let mut pkt = domino_ir::Packet::new().with("noise", *noise);
+                for (root, value) in spec.roots().iter().zip(roots) {
+                    if let Some(v) = value {
+                        pkt.set(root, *v);
+                    }
+                }
+                prop_assert_eq!(slots.key_of(&pkt), spec.key_of(&pkt), "{} on {}", name, pkt);
+            }
+        }
+    }
 }

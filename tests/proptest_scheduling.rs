@@ -22,13 +22,19 @@
 //!   `offered == transmitted + dropped` in every configuration;
 //! * **the FIFO contract**: under `SchedSpec::Fifo` the switch's PIFO
 //!   ignores whatever ranks the packets carry, departs a burst in arrival
-//!   order, and books overflow under `queue_full`.
+//!   order, and books overflow under `queue_full`;
+//! * **map == slot with unreferenced input fields**: input fields no
+//!   pipeline names ride through the flat carrier bit-identical, under
+//!   every discipline, on the serial switch (slot-native, independently
+//!   compiled engines, and the packet-only adapter path) and on a
+//!   2-shard switch.
 
 use banzai::{
-    deparse, encode, parse, AtomKind, AtomPipeline, DropReason, FrameSpec, Pifo, SchedKey,
-    SchedSpec, Scheduler, ShardConfig, ShardedSwitch, Switch, Target, WireConfig,
+    deparse, encode, parse, AtomKind, AtomPipeline, DropReason, FrameSpec, Machine, Pifo,
+    PipelineEngine, SchedKey, SchedSpec, Scheduler, ShardConfig, ShardedSwitch, SlotMachine,
+    Switch, SwitchError, Target, WireConfig,
 };
-use domino_ir::Packet;
+use domino_ir::{Packet, StateStore};
 use proptest::prelude::*;
 
 /// Per-flow counter: `c` is the flow's running packet count, so using it
@@ -90,6 +96,92 @@ fn spec_of(sel: usize) -> SchedSpec {
 
 fn capacity_of(sel: usize) -> usize {
     [0, 1, 17, 512][sel]
+}
+
+/// All four disciplines, keyed on the counter program's fields.
+fn any_spec(sel: usize) -> SchedSpec {
+    match sel {
+        0 => SchedSpec::Fifo,
+        1 => SchedSpec::Pifo { rank: "c".into() },
+        2 => SchedSpec::Priority {
+            class: "cls".into(),
+            rank: "c".into(),
+        },
+        _ => SchedSpec::Shaping { rank: "c".into() },
+    }
+}
+
+/// Names no pipeline here mentions, sorting before, between and after
+/// the programs' own fields.
+const EXTRA_FIELDS: [&str; 6] = ["aaa_tag", "b0", "d_extra", "m_mark", "soj_x", "zz_tail"];
+
+/// The counter trace, each packet also carrying a random subset of
+/// [`EXTRA_FIELDS`] with random values.
+fn trace_with_extras(rows: &[(i32, Vec<(usize, i32)>)]) -> Vec<Packet> {
+    rows.iter()
+        .map(|(flow, extras)| {
+            let mut pkt = Packet::new()
+                .with("flow", *flow)
+                .with("cls", flow % 3)
+                .with("c", 0);
+            for &(k, v) in extras {
+                pkt.set(EXTRA_FIELDS[k], v);
+            }
+            pkt
+        })
+        .collect()
+}
+
+/// A packet-only engine: the slot engine behind the four required
+/// methods alone, so a switch drives it through the default adapter —
+/// the path an engine wrapper such as a tracer takes.
+#[derive(Debug, Clone)]
+struct PacketOnly(SlotMachine);
+
+impl PipelineEngine for PacketOnly {
+    fn build(pipeline: &AtomPipeline) -> Result<PacketOnly, SwitchError> {
+        Ok(PacketOnly(
+            SlotMachine::compile(pipeline).map_err(SwitchError::Build)?,
+        ))
+    }
+
+    fn process(&mut self, pkt: Packet) -> Packet {
+        self.0.process(pkt)
+    }
+
+    fn export_state(&self) -> StateStore {
+        self.0.export_state()
+    }
+
+    fn import_state(&mut self, snapshot: &StateStore) {
+        self.0.import_state(snapshot)
+    }
+}
+
+/// What one serial switch run shows: its outputs (line-rate run) or
+/// departures (burst run, as `Debug` text so every engine compares), the
+/// typed drops and both states.
+type Observed = (String, banzai::DropCounters, StateStore, StateStore);
+
+fn observe<E: PipelineEngine>(
+    sw: Switch<E>,
+    trace: &[Packet],
+    drain: u64,
+    spec: &SchedSpec,
+    burst: bool,
+) -> Observed {
+    let mut sw = sw.with_drain_period(drain).with_scheduler(spec.clone());
+    let out = if burst {
+        format!("{:?}", sw.run(trace).scheduled().collect().unwrap())
+    } else {
+        format!("{:?}", sw.run(trace).collect().unwrap())
+    };
+    (
+        out,
+        sw.drop_counters().clone(),
+        sw.export_ingress_state(),
+        sw.export_egress_state(),
+    )
 }
 
 proptest! {
@@ -321,5 +413,113 @@ proptest! {
         let counters = sw.drop_counters();
         prop_assert_eq!(counters.get(DropReason::QueueFull), (n - admitted) as u64);
         prop_assert_eq!(counters.get(DropReason::SchedFull), 0);
+    }
+
+    /// Input fields no pipeline names come out bit-identical, and the
+    /// slot switch equals the map reference on outputs or departures,
+    /// per-reason drops and both states — under every discipline, drain
+    /// period and capacity, whichever way the engines reach the carrier:
+    /// slot-native through `new_slot`, two independently compiled slot
+    /// engines through `from_engines`, or a packet-only wrapper through
+    /// the default adapter.
+    #[test]
+    fn slot_switch_equals_map_switch_with_unreferenced_fields(
+        rows in proptest::collection::vec(
+            (0..64i32, proptest::collection::vec((0..6usize, any::<i32>()), 0..4)),
+            0..60,
+        ),
+        spec_sel in 0..4usize,
+        drain in 1..=3usize,
+        capacity in 1..=8usize,
+        burst in any::<bool>(),
+    ) {
+        let ingress = counter_pipeline();
+        let egress = sojourn_pipeline();
+        let trace = trace_with_extras(&rows);
+        let spec = any_spec(spec_sel);
+        let drain = drain as u64;
+
+        let map = Switch::new(ingress.clone(), egress.clone(), capacity);
+        let reference = observe(map, &trace, drain, &spec, burst);
+        let slot = Switch::new_slot(&ingress, &egress, capacity).unwrap();
+        prop_assert_eq!(&observe(slot, &trace, drain, &spec, burst), &reference);
+        let split = Switch::from_engines(
+            SlotMachine::compile(&ingress).unwrap(),
+            SlotMachine::compile(&egress).unwrap(),
+            capacity,
+        );
+        prop_assert_eq!(&observe(split, &trace, drain, &spec, burst), &reference);
+        let adapted = Switch::from_engines(
+            PacketOnly::build(&ingress).unwrap(),
+            PacketOnly::build(&egress).unwrap(),
+            capacity,
+        );
+        prop_assert_eq!(&observe(adapted, &trace, drain, &spec, burst), &reference);
+
+        // The extra fields leave exactly as they arrived.
+        if !burst {
+            let mut sw = Switch::new_slot(&ingress, &egress, capacity)
+                .unwrap()
+                .with_drain_period(drain)
+                .with_scheduler(spec.clone());
+            for out in sw.run(&trace).collect().unwrap() {
+                let input = &trace[out.expect("enq_ts") as usize];
+                for name in EXTRA_FIELDS {
+                    prop_assert_eq!(out.get(name), input.get(name));
+                }
+            }
+        }
+    }
+
+    /// The same equality on a 2-shard switch: slot shards equal map
+    /// shards through both the supervised `collect` and the inline
+    /// `for_each`, with the unreferenced fields intact.
+    #[test]
+    fn sharded_slot_switch_equals_map_with_unreferenced_fields(
+        rows in proptest::collection::vec(
+            (0..64i32, proptest::collection::vec((0..6usize, any::<i32>()), 0..4)),
+            0..120,
+        ),
+        spec_sel in 0..4usize,
+        capacity in 1..=8usize,
+        batch in 1..=16usize,
+    ) {
+        let ingress = counter_pipeline();
+        let egress = AtomPipeline::passthrough("egress");
+        let trace = trace_with_extras(&rows);
+        let cfg = ShardConfig::new(2)
+            .with_capacity(capacity)
+            .with_batch(batch)
+            .with_scheduler(any_spec(spec_sel));
+
+        let mut map = ShardedSwitch::<Machine>::new(&ingress, &egress, cfg.clone()).unwrap();
+        let mut slot = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+        prop_assert_eq!(slot.plan().effective(), 2);
+        let expected = map.run(&trace).collect().unwrap();
+        prop_assert_eq!(&slot.run(&trace).collect().unwrap(), &expected);
+        for out in &expected {
+            let input = &trace[out.expect("enq_ts") as usize];
+            for name in EXTRA_FIELDS {
+                prop_assert_eq!(out.get(name), input.get(name));
+            }
+        }
+
+        let mut streamed = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        let mut sunk = Vec::new();
+        streamed.run(&trace).for_each(|p| sunk.push(p)).unwrap();
+        prop_assert_eq!(&sunk, &expected);
+
+        for sw in [&slot, &streamed] {
+            prop_assert_eq!(sw.drop_counters(), map.drop_counters());
+            prop_assert_eq!(sw.transmitted(), map.transmitted());
+            prop_assert_eq!(
+                sw.export_merged_ingress_state().unwrap(),
+                map.export_merged_ingress_state().unwrap()
+            );
+            prop_assert_eq!(
+                sw.export_merged_egress_state().unwrap(),
+                map.export_merged_egress_state().unwrap()
+            );
+        }
     }
 }
