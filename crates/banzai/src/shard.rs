@@ -207,9 +207,8 @@ enum ResolvedSteer {
     /// Everything to shard 0 (the fallback).
     Single,
     /// Steer by the extracted flow key — bit-exact serial equivalence.
-    /// The key slice is evaluated lowered onto slots; the spec's own
-    /// evaluator is the fallback should the slice not lower.
-    Keyed(FlowKeySpec, Option<SlotFlowKey>),
+    /// The key slice is evaluated lowered onto slots.
+    Keyed(FlowKeySpec, SlotFlowKey),
     /// Both pipelines are stateless: hash the whole packet. Only
     /// bit-identical packets are guaranteed to share a shard — a flow
     /// defined by a *subset* of fields may spread across shards, which
@@ -226,10 +225,12 @@ enum ResolvedSteer {
     Replica(Vec<String>),
 }
 
-/// Keyed steering by `spec`, its key slice lowered onto slots.
-fn keyed(spec: FlowKeySpec) -> ResolvedSteer {
-    let slots = SlotFlowKey::lower(&spec).ok();
-    ResolvedSteer::Keyed(spec, slots)
+/// Keyed steering by `spec`, its key slice lowered onto slots; a slice
+/// that does not lower is a diagnostic (the plan falls back to one shard).
+fn keyed(spec: &FlowKeySpec) -> Result<ResolvedSteer, String> {
+    let slots = SlotFlowKey::lower(spec)
+        .map_err(|e| format!("flow key `{}` does not lower: {e}", spec.key_field()))?;
+    Ok(ResolvedSteer::Keyed(spec.clone(), slots))
 }
 
 /// How one side's (ingress or egress) serial state is reconstructed from
@@ -386,10 +387,11 @@ impl ShardPlan {
                 MergePlan::Trivial,
             )),
             (Ok(Keyed(k)), Ok(Stateless)) => {
-                Ok((keyed(k.clone()), MergePlan::Owned(k), MergePlan::Trivial))
+                keyed(&k).map(|s| (s, MergePlan::Owned(k), MergePlan::Trivial))
             }
             (Ok(Stateless), Ok(Keyed(k))) => egress_key_ok(&k)
-                .map(|()| (keyed(k.clone()), MergePlan::Trivial, MergePlan::Owned(k))),
+                .and_then(|()| keyed(&k))
+                .map(|s| (s, MergePlan::Trivial, MergePlan::Owned(k))),
             (Ok(Keyed(a)), Ok(Keyed(b))) => {
                 if a != b {
                     Err(format!(
@@ -404,7 +406,8 @@ impl ShardPlan {
                     ))
                 } else {
                     egress_key_ok(&b)
-                        .map(|()| (keyed(a.clone()), MergePlan::Owned(a), MergePlan::Owned(b)))
+                        .and_then(|()| keyed(&a))
+                        .map(|s| (s, MergePlan::Owned(a), MergePlan::Owned(b)))
                 }
             }
             // Replica tiers: a replicable side is state-safe under any
@@ -428,18 +431,12 @@ impl ShardPlan {
             // An exactly-keyed side dictates the steering (its partition
             // demands it); the replicated side tolerates it. The egress
             // key still has to be computable on the input packet.
-            (Ok(Keyed(k)), Ok(Replicable(r))) => Ok((
-                keyed(k.clone()),
-                MergePlan::Owned(k),
-                MergePlan::Replicated(r),
-            )),
-            (Ok(Replicable(r)), Ok(Keyed(k))) => egress_key_ok(&k).map(|()| {
-                (
-                    keyed(k.clone()),
-                    MergePlan::Replicated(r),
-                    MergePlan::Owned(k),
-                )
-            }),
+            (Ok(Keyed(k)), Ok(Replicable(r))) => {
+                keyed(&k).map(|s| (s, MergePlan::Owned(k), MergePlan::Replicated(r)))
+            }
+            (Ok(Replicable(r)), Ok(Keyed(k))) => egress_key_ok(&k)
+                .and_then(|()| keyed(&k))
+                .map(|s| (s, MergePlan::Replicated(r), MergePlan::Owned(k))),
         };
 
         match resolved {
@@ -528,10 +525,7 @@ impl ShardPlan {
         }
         match &self.steer {
             ResolvedSteer::Single => 0,
-            ResolvedSteer::Keyed(spec, slots) => match slots {
-                Some(slots) => FlowKeySpec::shard_of_class(slots.key_of(pkt), n),
-                None => spec.shard_of(pkt, n),
-            },
+            ResolvedSteer::Keyed(_, slots) => FlowKeySpec::shard_of_class(slots.key_of(pkt), n),
             ResolvedSteer::Replica(_) => idx % n,
             ResolvedSteer::WholePacket => {
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
